@@ -1,5 +1,9 @@
 """E20 — the power-endurance year: fixed-step vs adaptive bus, A/B.
 
+The fixed-step arm is the test oracle :class:`tests.oracles.FixedStepBus`
+at its 300 s step; the adaptive arm is the shipping
+:class:`~repro.energy.bus.PowerBus`.
+
 The paper's Section V endurance question — does the station survive the
 winter on its power budget? — exercises the energy layer almost in
 isolation: both stations at the 6-hour maintenance sampling cadence, the
@@ -29,6 +33,7 @@ from benchmarks.conftest import run_once
 from repro.analysis.report import format_table
 from repro.core import Deployment, DeploymentConfig
 from repro.core.config import StationConfig, reference_defaults
+from tests.oracles import oracle_arms
 
 #: Maintenance cadence: one health/housekeeping sample every six hours.
 MAINTENANCE_INTERVAL_S = 21600.0
@@ -42,11 +47,13 @@ MIN_SYNC_RATIO = 10.0
 _RESULTS: dict = {}
 
 
-def endurance_config(mode: str) -> DeploymentConfig:
-    base = StationConfig(energy_mode=mode,
-                         sample_interval_s=MAINTENANCE_INTERVAL_S)
+#: The fixed-step oracle's tick, seconds.
+FIXED_STEP_S = 300.0
+
+
+def endurance_config() -> DeploymentConfig:
+    base = StationConfig(sample_interval_s=MAINTENANCE_INTERVAL_S)
     reference = reference_defaults()
-    reference.energy_mode = mode
     reference.sample_interval_s = MAINTENANCE_INTERVAL_S
     return DeploymentConfig(seed=100, base=base, reference=reference,
                             probe_ids=())
@@ -60,7 +67,8 @@ def run_endurance(mode: str):
     pytest-benchmark session internals.
     """
     start = time.perf_counter()
-    deployment = Deployment(endurance_config(mode))
+    with oracle_arms(fixed_step_s=FIXED_STEP_S if mode == "fixed" else None):
+        deployment = Deployment(endurance_config())
     deployment.run_days(365)
     return deployment, time.perf_counter() - start
 

@@ -3,8 +3,8 @@
 A/B over the same 500-job campaign (125 configs x 4 seeds, one simulated
 day each, ``--jobs 2``):
 
-- **legacy** — the pre-executor engine kept as
-  :func:`repro.fleet.run_sweep_legacy`: one pool future per job, the
+- **legacy** — the pre-executor engine kept as the test oracle
+  :func:`tests.oracles.run_sweep_legacy`: one pool future per job, the
   full metrics snapshot shipped back over IPC per run, every cache
   read/write and rollup fold in the parent.
 - **batched** — the chunked engine: warm workers take 64-job chunks, do
@@ -43,9 +43,9 @@ from repro.fleet import (
     SweepSpec,
     expand_grid,
     run_sweep,
-    run_sweep_legacy,
     sweep_to_json,
 )
+from tests.oracles import run_sweep_legacy
 
 #: 125 configs x 4 seeds = 500 jobs, one simulated day each.
 GRID = {"solar_w": [4, 6, 8, 10, 12],

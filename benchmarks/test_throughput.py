@@ -35,6 +35,7 @@ from benchmarks.conftest import run_once
 from repro.analysis.report import format_table
 from repro.core import Deployment, DeploymentConfig
 from repro.core.config import StationConfig, reference_defaults
+from tests.oracles import oracle_arms
 
 #: Maintenance cadence shared with the endurance scenario: 6 hours.
 MAINTENANCE_INTERVAL_S = 21600.0
@@ -55,11 +56,12 @@ MIN_FLEET_EVENT_RATIO = 10.0
 #: gated at parity so wall noise cannot flake the build.
 MIN_E20_SPEEDUP = 1.0
 
-#: The two arms: the pre-batching configuration (chunked Bernoulli comms,
-#: one kernel event per probe sample) vs the shipping defaults.
+#: The two arms: the pre-batching configuration (the chunked Bernoulli
+#: comms and eager probe-sampling oracles from ``tests.oracles``) vs the
+#: shipping defaults.
 ARMS = {
-    "legacy": {"comms_mode": "chunked", "probe_defer_sampling": False},
-    "batched": {"comms_mode": "exact", "probe_defer_sampling": True},
+    "legacy": {"chunked_comms": True, "eager_probes": True},
+    "batched": {},
 }
 
 #: ``(scenario, arm) -> {"wall_s", "station_years", ...}`` filled by the
@@ -67,30 +69,29 @@ ARMS = {
 _RESULTS: dict = {}
 
 
-def e20_config(arm: str) -> DeploymentConfig:
-    comms = ARMS[arm]["comms_mode"]
-    base = StationConfig(sample_interval_s=MAINTENANCE_INTERVAL_S,
-                         comms_mode=comms)
+def e20_config() -> DeploymentConfig:
+    base = StationConfig(sample_interval_s=MAINTENANCE_INTERVAL_S)
     reference = reference_defaults()
     reference.sample_interval_s = MAINTENANCE_INTERVAL_S
-    reference.comms_mode = comms
     return DeploymentConfig(seed=100, base=base, reference=reference,
                             probe_ids=())
 
 
-def fleet_config(arm: str, seed: int) -> DeploymentConfig:
-    comms = ARMS[arm]["comms_mode"]
-    base = StationConfig(sample_interval_s=MAINTENANCE_INTERVAL_S,
-                         comms_mode=comms)
+def fleet_config(seed: int) -> DeploymentConfig:
+    base = StationConfig(sample_interval_s=MAINTENANCE_INTERVAL_S)
     reference = reference_defaults()
     reference.sample_interval_s = MAINTENANCE_INTERVAL_S
-    reference.comms_mode = comms
     return DeploymentConfig(
         seed=seed, base=base, reference=reference,
         probe_sampling_interval_s=FLEET_PROBE_INTERVAL_S,
         wired_probe_lifetime_days=FLEET_WIRED_PROBE_LIFETIME_DAYS,
-        probe_defer_sampling=ARMS[arm]["probe_defer_sampling"],
     )
+
+
+def build(arm: str, config: DeploymentConfig) -> Deployment:
+    """``config`` deployed on ``arm``'s comms and probe-sampling paths."""
+    with oracle_arms(**ARMS[arm]):
+        return Deployment(config)
 
 
 def total_exact_draws(deployment) -> int:
@@ -101,7 +102,7 @@ def total_exact_draws(deployment) -> int:
 def run_e20(arm: str):
     """One probe-idled endurance year; returns ``(stats, wall_s)``."""
     start = time.perf_counter()
-    deployment = Deployment(e20_config(arm))
+    deployment = build(arm, e20_config())
     deployment.run_days(E20_DAYS)
     wall_s = time.perf_counter() - start
     # Scenario sanity: still the endurance year — daily cycles, no
@@ -123,7 +124,7 @@ def run_fleet(arm: str):
     start = time.perf_counter()
     events = batches = draws = 0
     for seed in FLEET_SEEDS:
-        deployment = Deployment(fleet_config(arm, seed))
+        deployment = build(arm, fleet_config(seed))
         deployment.run_days(FLEET_DAYS)
         # The Section V outage actually happened: probe comms are dead,
         # yet the stations keep their daily cycle.

@@ -22,6 +22,7 @@ the ``repro-lint`` static-analysis gate; see :mod:`repro.lint`.)
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 from typing import List, Optional
 
@@ -29,7 +30,6 @@ from repro.analysis.report import format_table
 from repro.core import Deployment, DeploymentConfig
 from repro.core.config import StationConfig, reference_defaults
 from repro.server.archive import ScienceArchive
-from repro.sim.simtime import DAY
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -49,18 +49,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="override the base station's solar rating")
         p.add_argument("--override", type=int, default=None, choices=(0, 1, 2, 3),
                        help="server-side manual power-state override")
-        p.add_argument("--energy-mode", choices=("fixed", "adaptive"),
-                       default="adaptive",
-                       help="power-bus integrator: event-driven 'adaptive' "
-                            "(default) or the original fixed-step sampler")
-        p.add_argument("--comms-mode", choices=("chunked", "exact"),
-                       default="exact",
-                       help="comms transfer engine: single inverse-CDF "
-                            "drop-time sample 'exact' (default) or the "
-                            "original per-chunk Bernoulli loop")
-        p.add_argument("--energy-step-s", type=float, default=None,
-                       help="fixed-mode sampling step / adaptive planning "
-                            "grid, seconds (default: 300)")
         p.add_argument("--metrics-out", metavar="FILE", default=None,
                        help="write metrics after the run (.json = JSON dump, "
                             "anything else = Prometheus text)")
@@ -246,15 +234,38 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _load_json(path: str, what: str):
+    """Parse a JSON input file; a missing or malformed one is a clean error.
+
+    Prints ``repro-sim: cannot load <what>: <reason>`` and exits 2 — the
+    same status an unwritable output path gets — so a bad input file never
+    reads as a run verdict (``inject``'s invariant violation, ``races``'
+    race found).
+    """
+    import json
+
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            return json.load(fh)
+    except (OSError, ValueError) as exc:
+        print(f"repro-sim: cannot load {what}: {exc}", file=sys.stderr)
+        raise SystemExit(2)
+
+
 def _load_fault_plan(args) -> Optional[dict]:
     """The ``--faults`` plan as its dict form, or None."""
     path = getattr(args, "faults", None)
     if not path:
         return None
-    import json
+    return _load_json(path, "fault plan")
 
-    with open(path, "r", encoding="utf-8") as fh:
-        return json.load(fh)
+
+def _extra_stations(stations: int) -> int:
+    """``--stations N`` as the count of stations beyond base + reference."""
+    if stations < 2:
+        raise SystemExit("repro-sim: --stations must be >= 2 "
+                         "(base + reference)")
+    return stations - 2
 
 
 def _fleet_overrides(args) -> dict:
@@ -262,10 +273,7 @@ def _fleet_overrides(args) -> dict:
     overrides = {}
     stations = getattr(args, "stations", None)
     if stations is not None:
-        if stations < 2:
-            raise SystemExit("repro-sim: --stations must be >= 2 "
-                             "(base + reference)")
-        overrides["extra_stations"] = stations - 2
+        overrides["extra_stations"] = _extra_stations(stations)
     if getattr(args, "servers", None) is not None:
         overrides["servers"] = args.servers
     if getattr(args, "server_policy", None) is not None:
@@ -284,11 +292,6 @@ def _build_deployment(args, check_invariants: bool = False) -> Deployment:
         base.solar_w = args.solar_w
     if getattr(args, "batched_sync", False):
         base.batched_sync = True
-    for config in (base, reference):
-        config.energy_mode = getattr(args, "energy_mode", "adaptive")
-        config.comms_mode = getattr(args, "comms_mode", "exact")
-        if getattr(args, "energy_step_s", None) is not None:
-            config.energy_step_s = args.energy_step_s
     deployment = Deployment(DeploymentConfig(seed=args.seed, base=base,
                                              reference=reference,
                                              fault_plan=_load_fault_plan(args),
@@ -389,10 +392,28 @@ def _print_alerts(deployment: Deployment) -> None:
         print(engine.format())
 
 
-def _cmd_simulate(args) -> int:
-    deployment = _build_deployment(args)
-    deployment.run_days(args.days)
-    code = _write_observability(deployment, args)
+def _run_command(printer):
+    """Turn ``printer(deployment, args)`` into a run-then-print handler.
+
+    The six run commands share one prologue: build the deployment, run it
+    for ``--days``, then honour the observability outputs
+    (:func:`_write_observability`).  They differ only in what they print
+    afterwards.  The handler returns the observability exit code.
+    """
+    @functools.wraps(printer)
+    def handler(args) -> int:
+        deployment = _build_deployment(args)
+        deployment.run_days(args.days)
+        code = _write_observability(deployment, args)
+        printer(deployment, args)
+        return code
+
+    return handler
+
+
+@_run_command
+def _cmd_simulate(deployment: Deployment, args) -> None:
+    """Summarise every station and the probe fleet."""
     rows = []
     for station in deployment.stations:
         rows.append(
@@ -413,13 +434,11 @@ def _cmd_simulate(args) -> int:
     print(f"\nProbes alive: {deployment.surviving_probes()}/{len(deployment.probes)}; "
           f"readings collected: {deployment.base.readings_collected}")
     _print_alerts(deployment)
-    return code
 
 
-def _cmd_science(args) -> int:
-    deployment = _build_deployment(args)
-    deployment.run_days(args.days)
-    code = _write_observability(deployment, args)
+@_run_command
+def _cmd_science(deployment: Deployment, args) -> None:
+    """Print the dGPS and probe science products."""
     archive = ScienceArchive(deployment.server)
     velocities = archive.daily_velocity()
     print(format_table(
@@ -440,13 +459,11 @@ def _cmd_science(args) -> int:
         print(format_table(["Probe", "Readings", "Latest conductivity (µS)"], rows,
                            title="Sub-glacial probes"))
     _print_alerts(deployment)
-    return code
 
 
-def _cmd_health(args) -> int:
-    deployment = _build_deployment(args)
-    deployment.run_days(args.days)
-    code = _write_observability(deployment, args)
+@_run_command
+def _cmd_health(deployment: Deployment, args) -> None:
+    """Print the station-health indicators."""
     archive = ScienceArchive(deployment.server)
     rows = []
     for station in ("base", "reference"):
@@ -467,30 +484,25 @@ def _cmd_health(args) -> int:
         title=f"Station health after {args.days:g} days",
     ))
     _print_alerts(deployment)
-    return code
 
 
-def _cmd_report(args) -> int:
+@_run_command
+def _cmd_report(deployment: Deployment, args) -> None:
+    """Print the full mission report."""
     from repro.analysis.mission_report import mission_report
 
-    deployment = _build_deployment(args)
-    deployment.run_days(args.days)
-    code = _write_observability(deployment, args)
     print(mission_report(deployment))
-    return code
 
 
-def _cmd_metrics(args) -> int:
+@_run_command
+def _cmd_metrics(deployment: Deployment, args) -> None:
+    """Print the metrics dump (Prometheus text or JSON)."""
     from repro.obs.export import metrics_to_json, metrics_to_prometheus
 
-    deployment = _build_deployment(args)
-    deployment.run_days(args.days)
-    code = _write_observability(deployment, args)
     if args.format == "json":
         print(metrics_to_json(deployment.sim.obs.metrics), end="")
     else:
         print(metrics_to_prometheus(deployment.sim.obs.metrics), end="")
-    return code
 
 
 def _cmd_inject(args) -> int:
@@ -524,20 +536,19 @@ def _cmd_inject(args) -> int:
     return code
 
 
-def _cmd_export(args) -> int:
+@_run_command
+def _cmd_export(deployment: Deployment, args) -> None:
+    """Print one archive product as CSV or JSON."""
     from repro.analysis.export import (
         archive_snapshot_json,
         series_to_csv,
         series_to_json,
     )
 
-    deployment = _build_deployment(args)
-    deployment.run_days(args.days)
-    code = _write_observability(deployment, args)
     archive = ScienceArchive(deployment.server)
     if args.what == "snapshot":
         print(archive_snapshot_json(archive))
-        return code
+        return
     if args.what == "velocity":
         series = [(float(d) * 86400.0, v) for d, v in archive.daily_velocity()]
         name = "velocity_m_per_day"
@@ -549,7 +560,6 @@ def _cmd_export(args) -> int:
     else:
         print(series_to_json(series, value_name=name,
                              metadata={"seed": args.seed, "days": args.days}))
-    return code
 
 
 def _parse_param_value(raw: str):
@@ -566,8 +576,6 @@ def _parse_param_value(raw: str):
 
 
 def _cmd_sweep(args) -> int:
-    import json
-
     from repro.fleet import SweepCache, SweepSpec, expand_grid, run_sweep, sweep_to_json
 
     params = {}
@@ -579,9 +587,7 @@ def _cmd_sweep(args) -> int:
     # Fleet sugar: the flags expand to ordinary grid axes, so they cross
     # with --param and land in config digests like any other override.
     if args.stations is not None:
-        if args.stations < 2:
-            raise SystemExit("repro-sim: --stations must be >= 2")
-        params.setdefault("extra_stations", [args.stations - 2])
+        params.setdefault("extra_stations", [_extra_stations(args.stations)])
     if args.servers:
         params.setdefault("servers",
                           [int(v) for v in args.servers.split(",") if v])
@@ -592,22 +598,16 @@ def _cmd_sweep(args) -> int:
     seeds = [int(s) for s in args.seeds.split(",") if s]
     fault_plans = None
     if args.faults:
-        fault_plans = []
-        for path in args.faults:
-            if path == "none":
-                fault_plans.append(None)
-            else:
-                with open(path, "r", encoding="utf-8") as fh:
-                    fault_plans.append(json.load(fh))
+        fault_plans = [None if path == "none" else _load_json(path, "fault plan")
+                       for path in args.faults]
     alert_rules = None
     if args.alerts:
         from repro.obs.alerts import AlertEngine
 
+        alert_rules = _load_json(args.alerts, "alert rules")
         try:
-            with open(args.alerts, "r", encoding="utf-8") as fh:
-                alert_rules = json.load(fh)
             AlertEngine(alert_rules)  # validate once, before fan-out
-        except (OSError, ValueError) as exc:
+        except ValueError as exc:
             raise SystemExit(f"repro-sim: cannot load alert rules: {exc}")
     spec = SweepSpec(grid=expand_grid(params), seeds=seeds, days=args.days,
                      fault_plans=fault_plans, alert_rules=alert_rules)
@@ -727,10 +727,8 @@ def _cmd_races(args) -> int:
         lines.append(report.format())
         text = "\n".join(lines)
     print(text)
-    if args.output:
-        with open(args.output, "w", encoding="utf-8") as fh:
-            fh.write(text + "\n")
-    return 0 if not static_findings and report.robust else 1
+    code = _write_file(args.output, text + "\n") if args.output else 0
+    return code if not static_findings and report.robust else 1
 
 
 def main(argv: Optional[List[str]] = None) -> int:

@@ -43,16 +43,16 @@ class Probe:
         off the true timeline — the reason the base station must keep the
         probes synchronised ("The RTC has to be corrected for
         synchronisation with the probes", Section IV).
-    defer_sampling:
-        Deferred materialisation (default): sensors are pure functions of
-        time and the believed-time stamp is linear between clock syncs, so
-        the fixed-cadence sample loop costs **zero kernel events** — the
-        buffer is synthesised retroactively, just before any interaction
-        that observes it (:meth:`task`, :attr:`buffered_count`,
-        :meth:`sync_clock`, an interval change).  ``False`` runs the
-        original one-event-per-sample loop — the equivalence oracle
-        (``tests/probes/test_deferred_sampling.py`` proves reading-level
-        bitwise equality).
+
+    Sampling is deferred.  Sensors are pure functions of time and the
+    believed-time stamp is linear between clock syncs, so the
+    fixed-cadence sample loop costs **zero kernel events**: the buffer is
+    synthesised retroactively, just before any interaction that observes
+    it (:meth:`task`, :attr:`buffered_count`, :meth:`sync_clock`, an
+    interval change).  The one-event-per-sample reference loop is the test
+    oracle in ``tests/oracles/probes.py``;
+    ``tests/probes/test_deferred_sampling.py`` proves reading-level
+    bitwise equality against it.
     """
 
     def __init__(
@@ -63,7 +63,6 @@ class Probe:
         sampling_interval_s: float = 30.0 * MINUTE,
         lifetime_days: Optional[float] = None,
         clock_drift_ppm: float = 0.0,
-        defer_sampling: bool = True,
     ) -> None:
         self.sim = sim
         self.probe_id = probe_id
@@ -81,12 +80,9 @@ class Probe:
         self._next_task_id = 1
         self.tasks_completed = 0
         self._readings_taken = 0
-        self.defer_sampling = defer_sampling
-        #: Next due sample instant (deferred mode bookkeeping; mirrors the
-        #: wake the eager loop would have armed).
+        #: Next due sample instant (mirrors the wake an eager sample loop
+        #: would have armed).
         self._next_sample_at = sim.now + sampling_interval_s
-        if not defer_sampling:
-            sim.process(self._sampler(), name=f"probe.{probe_id}.sampler")
 
     # ------------------------------------------------------------------
     # Life and death
@@ -137,21 +133,8 @@ class Probe:
         self._materialise(self.sim.now)
         self._sampling_interval_s = interval_s
 
-    def _sampler(self):
-        """The eager one-event-per-sample loop (``defer_sampling=False``)."""
-        while True:
-            yield self.sim.timeout(self._sampling_interval_s)
-            if not self.is_alive:
-                return
-            channels = {sensor.name: sensor.sample(self.sim.now) for sensor in self.sensors}
-            self._buffer.append(
-                Reading(probe_id=self.probe_id, seq=-1, time=self.believed_time(),
-                        channels=channels)
-            )
-            self._readings_taken += 1
-
     def _materialise(self, up_to: float) -> None:
-        """Synthesise every sample due at or before ``up_to`` (deferred mode).
+        """Synthesise every sample due at or before ``up_to``.
 
         Sample instants, sensor values and believed-time stamps are all
         pure functions of time and of state that is constant between
@@ -162,11 +145,9 @@ class Probe:
         Tie convention: a sample due *exactly* at the observation instant
         is included (``t <= up_to``).  In the eager loop that instant is a
         same-timestamp tie whose order depends on the kernel tie-break
-        policy; deferred mode resolves it deterministically, consistent
+        policy; deferred sampling resolves it deterministically, consistent
         with ``run(until=T)`` processing events at exactly ``T``.
         """
-        if not self.defer_sampling:
-            return
         t = self._next_sample_at
         if t > up_to:
             return

@@ -1,7 +1,8 @@
 """Chunked-vs-exact transfer engine equivalence: the A/B oracle suite.
 
-The exact engine replaces the per-chunk Bernoulli loop with one
-inverse-CDF drop-time draw (``Modem._sample_drop_delay``).  The two
+The shipping (exact) engine replaces the per-chunk Bernoulli loop — kept
+as the oracle in ``tests/oracles/comms.py`` — with one inverse-CDF
+drop-time draw (``Modem._sample_drop_delay``).  The two
 engines burn different numbers of uniforms, so they cannot be bitwise
 equal — the contract is *distributional*: per-chunk drop probabilities
 are identical, so drop fractions and drop-time distributions must agree
@@ -14,7 +15,7 @@ import math
 
 import pytest
 
-from repro.comms.link import COMMS_MODES, LinkDown, Modem
+from repro.comms.link import LinkDown, Modem
 from repro.comms.probe_radio import ProbeRadioLink
 from repro.energy.battery import Battery
 from repro.energy.bus import PowerBus
@@ -22,6 +23,17 @@ from repro.energy.components import GPRS_MODEM
 from repro.lint.determinism import lines_digest, record_canonical
 from repro.lint.tie_replay import check_tie_robustness, normalize_tie_order
 from repro.sim import Simulation
+from tests.oracles import ChunkedProbeRadioLink, ChunkedSendMixin, oracle_arms
+
+#: The oracle and the shipping engine.
+COMMS_MODES = ("chunked", "exact")
+
+
+def engine(modem_cls, mode):
+    """``modem_cls`` as shipped, or on the chunked oracle loop."""
+    if mode == "exact":
+        return modem_cls
+    return type(f"Chunked{modem_cls.__name__}", (ChunkedSendMixin, modem_cls), {})
 
 
 class ConstantHazardModem(Modem):
@@ -53,7 +65,7 @@ def run_send_trials(modem_cls, mode, trials=TRIALS, nbytes=TEN_CHUNK_BYTES,
     """``trials`` independent sends; returns (survived, drop_delays, modem)."""
     sim = Simulation(seed=seed)
     bus = PowerBus(sim, Battery(soc=0.95), name="t.power")
-    modem = modem_cls(sim, bus, "t.modem", GPRS_MODEM, mode=mode)
+    modem = engine(modem_cls, mode)(sim, bus, "t.modem", GPRS_MODEM)
     survived = [0]
     drop_delays = []
 
@@ -138,7 +150,7 @@ class TestVariableHazardChunkWalk:
         for mode in COMMS_MODES:
             sim = Simulation(seed=3)
             bus = PowerBus(sim, Battery(soc=0.95), name="t.power")
-            modem = SpikeModem(sim, bus, "t.modem", GPRS_MODEM, mode=mode)
+            modem = engine(SpikeModem, mode)(sim, bus, "t.modem", GPRS_MODEM)
             dropped_at = []
 
             def driver(sim):
@@ -163,8 +175,8 @@ class TestEventReduction:
         for mode, send in (("chunked", True), ("exact", True), ("idle", False)):
             sim = Simulation(seed=11)
             bus = PowerBus(sim, Battery(soc=0.95), name="t.power")
-            modem = ConstantHazardModem(sim, bus, "t.modem", GPRS_MODEM,
-                                        mode=mode if send else "exact")
+            modem = engine(ConstantHazardModem, mode if send else "exact")(
+                sim, bus, "t.modem", GPRS_MODEM)
             modem.hazard = 0.0  # survive: count the full transfer's events
 
             def driver(sim):
@@ -196,11 +208,11 @@ class TestEventReduction:
 
 def run_burst(mode, seed=5, count=400, deadline=None, payload=120):
     sim = Simulation(seed=seed)
-    link = ProbeRadioLink(
+    link_cls = ChunkedProbeRadioLink if mode == "chunked" else ProbeRadioLink
+    link = link_cls(
         sim,
         loss_fn=lambda t: 0.10 + 0.08 * math.sin(t / 50.0),
         corruption_probability=0.05,
-        mode=mode,
     )
     out = {}
 
@@ -268,10 +280,8 @@ class TestDeploymentDigests:
 
         stats = {}
         for mode in COMMS_MODES:
-            cfg = DeploymentConfig(seed=4)
-            cfg.base.comms_mode = mode
-            cfg.reference.comms_mode = mode
-            deployment = Deployment(cfg)
+            with oracle_arms(chunked_comms=mode == "chunked"):
+                deployment = Deployment(DeploymentConfig(seed=4))
             deployment.run_days(20.0)
             stats[mode] = (
                 deployment.base.modem.connect_attempts,

@@ -18,13 +18,14 @@ import hashlib
 
 import pytest
 
-from repro.core.config import DeploymentConfig, StationConfig, reference_defaults
+from repro.core.config import DeploymentConfig
 from repro.core.deployment import Deployment
 from repro.energy.battery import Battery
 from repro.energy.bus import PowerBus
 from repro.energy.sources import SolarPanel, WindTurbine
 from repro.environment.weather import IcelandWeather
 from repro.sim import Simulation
+from tests.oracles import FixedStepBus, oracle_arms
 
 HOUR = 3600.0
 
@@ -36,9 +37,10 @@ def run_scenario(seed: int, mode: str, days: int = 8):
     """One scripted bus under ``mode``; returns (daily averages, edges)."""
     sim = Simulation(seed=seed)
     weather = IcelandWeather(seed=seed)
-    step = 60.0 if mode == "fixed" else 300.0
-    bus = PowerBus(sim, Battery(soc=0.35), name="prop.power",
-                   step_s=step, mode=mode)
+    if mode == "fixed":
+        bus = FixedStepBus(sim, Battery(soc=0.35), name="prop.power", step_s=60.0)
+    else:
+        bus = PowerBus(sim, Battery(soc=0.35), name="prop.power")
     bus.add_source(SolarPanel(weather, rated_w=10.0))
     bus.add_source(WindTurbine(weather, rated_w=50.0))
     edges = []
@@ -114,13 +116,10 @@ class TestScriptedBusEquivalence:
         assert total > 0
 
 
-def deployment_config(seed: int, mode: str) -> DeploymentConfig:
-    step = 60.0 if mode == "fixed" else 300.0
-    base = StationConfig(energy_mode=mode, energy_step_s=step)
-    reference = reference_defaults()
-    reference.energy_mode = mode
-    reference.energy_step_s = step
-    return DeploymentConfig(seed=seed, base=base, reference=reference)
+def build_deployment(seed: int, mode: str) -> Deployment:
+    """A default deployment; ``mode="fixed"`` puts every bus on the 60 s oracle."""
+    with oracle_arms(fixed_step_s=60.0 if mode == "fixed" else None):
+        return Deployment(DeploymentConfig(seed=seed))
 
 
 def transition_digest(dep: Deployment) -> str:
@@ -138,7 +137,7 @@ class TestDeploymentEquivalence:
     def test_transition_ordering_over_ten_days(self):
         digests = {}
         for mode in ("fixed", "adaptive"):
-            dep = Deployment(deployment_config(seed=7, mode=mode))
+            dep = build_deployment(seed=7, mode=mode)
             dep.run_days(10)
             digests[mode] = transition_digest(dep)
         assert digests["adaptive"] == digests["fixed"]

@@ -522,7 +522,7 @@ class TestNoPollingLoop:
         )
         assert found == []
 
-    def test_oracle_modules_exempt(self):
+    def test_only_damage_module_exempt(self):
         snippet = """
             def _send_chunked(self, total_s):
                 while total_s > 0:
@@ -531,11 +531,15 @@ class TestNoPollingLoop:
                     if self._drop_rng.random() < 0.01:
                         break
             """
-        for path in ("src/repro/comms/link.py", "src/repro/environment/damage.py"):
-            assert findings_for(snippet, rule="no-polling-loop", path=path) == []
+        path = "src/repro/environment/damage.py"
+        assert findings_for(snippet, rule="no-polling-loop", path=path) == []
+        # The chunked comms loop no longer ships, so comms is not exempt.
+        found = findings_for(snippet, rule="no-polling-loop",
+                             path="src/repro/comms/link.py")
+        assert rule_ids(found) == ["no-polling-loop"]
 
     def test_shipped_tree_is_polling_clean(self):
-        """Outside the sanctioned oracles, the real tree has no polling loops."""
+        """Outside the day-cadence damage check, the real tree has no polling loops."""
         import pathlib
 
         from repro.lint.engine import lint_paths

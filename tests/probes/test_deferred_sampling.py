@@ -1,8 +1,9 @@
 """Deferred-vs-eager probe sampling equivalence.
 
-``defer_sampling=True`` (the default) synthesises fixed-cadence samples
-lazily, costing zero kernel events; ``defer_sampling=False`` is the
-original one-event-per-sample loop, kept as the oracle.  Sensors are pure
+The shipping :class:`~repro.probes.probe.Probe` synthesises fixed-cadence
+samples lazily, costing zero kernel events; :class:`EagerProbe`
+(``tests/oracles/probes.py``) is the original one-event-per-sample loop,
+kept as the oracle.  Sensors are pure
 functions of time and the believed-time stamp is linear between clock
 syncs, so the two modes must produce *bitwise identical* readings — this
 suite pins that, including under drift, re-sync, interval changes and
@@ -16,16 +17,18 @@ from repro.probes.probe import Probe
 from repro.sensors.probe_sensors import make_probe_sensor_suite
 from repro.sim import Simulation
 from repro.sim.simtime import DAY, HOUR, MINUTE
+from tests.oracles import EagerProbe
 
 
 def make_probe(sim, defer, probe_id=21, lifetime_days=1000.0,
                interval=30 * MINUTE, drift_ppm=0.0, seed=19):
     glacier = GlacierModel(seed=seed)
-    return Probe(
+    probe_cls = Probe if defer else EagerProbe
+    return probe_cls(
         sim, probe_id=probe_id,
         sensors=make_probe_sensor_suite(glacier, probe_id),
         sampling_interval_s=interval, lifetime_days=lifetime_days,
-        clock_drift_ppm=drift_ppm, defer_sampling=defer,
+        clock_drift_ppm=drift_ppm,
     )
 
 

@@ -217,6 +217,66 @@ class TestCliErrors:
         assert code == 2
         assert "cannot write" in capsys.readouterr().err
 
+    def test_unwritable_races_output_exits_2(self, tmp_path, capsys):
+        # Exit 1 means "race found"; a bad output path must not read as one.
+        target = tmp_path / "missing" / "races.txt"
+        code = main(["races", "--days", "0.1", "--seed", "0",
+                     "--paths", str(tmp_path), "--output", str(target)])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert "cannot write" in captured.err and str(target) in captured.err
+        assert "Traceback" not in captured.err
+
+    @pytest.mark.parametrize("command", [
+        ["simulate", "--days", "1"],
+        ["inject", "--days", "1"],
+        ["races", "--days", "0.1"],
+        ["sweep", "--days", "1", "--no-cache"],
+    ])
+    def test_missing_fault_plan_is_clean_error(self, tmp_path, capsys, command):
+        missing = tmp_path / "no_such_plan.json"
+        with pytest.raises(SystemExit) as excinfo:
+            main(command + ["--faults", str(missing)])
+        assert excinfo.value.code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("repro-sim: cannot load fault plan: ")
+        assert str(missing) in err
+
+    @pytest.mark.parametrize("command", [
+        ["inject", "--days", "1"],
+        ["sweep", "--days", "1", "--no-cache"],
+    ])
+    def test_malformed_fault_plan_is_clean_error(self, tmp_path, capsys, command):
+        plan = tmp_path / "plan.json"
+        plan.write_text('{"name": "broken", "faults": [')
+        with pytest.raises(SystemExit) as excinfo:
+            main(command + ["--faults", str(plan)])
+        assert excinfo.value.code == 2
+        assert "cannot load fault plan" in capsys.readouterr().err
+
+    def test_sweep_missing_alert_rules_is_clean_error(self, tmp_path, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            main(["sweep", "--days", "1", "--no-cache",
+                  "--alerts", str(tmp_path / "no_rules.json")])
+        assert excinfo.value.code == 2
+        assert "cannot load alert rules" in capsys.readouterr().err
+
+    def test_stations_floor_shares_one_message(self):
+        for command in (["simulate", "--days", "1"], ["sweep", "--days", "1"]):
+            with pytest.raises(SystemExit) as excinfo:
+                main(command + ["--stations", "1"])
+            assert str(excinfo.value) == (
+                "repro-sim: --stations must be >= 2 (base + reference)")
+
+    def test_retired_mode_flags_rejected(self, capsys):
+        for flag, value in (("--energy-mode", "fixed"),
+                            ("--comms-mode", "chunked"),
+                            ("--energy-step-s", "60")):
+            with pytest.raises(SystemExit) as excinfo:
+                main(["simulate", "--days", "1", flag, value])
+            assert excinfo.value.code == 2
+            assert "unrecognized arguments" in capsys.readouterr().err
+
     def test_missing_alert_rules_file_is_clean_error(self, capsys):
         with pytest.raises(SystemExit) as excinfo:
             main(["simulate", "--days", "1",
