@@ -79,6 +79,9 @@ class Station:
         self.glacier = glacier
         name = config.name
         self.name = name
+        # The daily logfile's byte count: every record this station and
+        # its components emit, fed by the trace whether or not it records.
+        self._log_meter = sim.trace.log_meter(name)
 
         # --- power ---
         self.bus = PowerBus(sim, Battery(config.battery, soc=config.initial_soc),
@@ -153,7 +156,6 @@ class Station:
         self.skipped_comms_days = 0
         self._outbox_counter = 0
         self._staged_special_outputs: List[dict] = []
-        self._last_log_time = 0.0
         self._readings_this_session = 0
 
         # --- wiring ---
@@ -210,8 +212,8 @@ class Station:
         # Provenance: the outbox file is born queued; ``artifact`` (a gps
         # observation) or ``probe``/``task``/``seqs`` (readings) name the
         # science data it carries.  The dedicated "prov" source keeps these
-        # records out of the station's log-volume accounting, so staging
-        # telemetry cannot change simulated log sizes.
+        # records off the station's log meter, so staging telemetry cannot
+        # change simulated log sizes.
         detail = {"station": self.name, "file": name, "file_kind": kind,
                   "bytes": size_bytes}
         if artifact is not None:
@@ -237,14 +239,11 @@ class Station:
         # reach Southampton — a day late, Section VI).  Per-packet logging
         # around probe communications dominates: a big backlog day produces
         # a huge log (the Section VI >1 MB lesson).
-        trace_bytes = self.sim.trace.byte_size(
-            source=self.name, start=self._last_log_time, end=self.sim.now
-        )
+        trace_bytes = self._log_meter.take(self.sim.now)
         verbose_bytes = int(
             self.config.log_bytes_per_reading * self._readings_this_session
         )
         self._readings_this_session = 0
-        self._last_log_time = self.sim.now
         size = self.config.log_base_bytes + trace_bytes + verbose_bytes
         payload = {"special_outputs": list(self._staged_special_outputs)}
         self._staged_special_outputs.clear()

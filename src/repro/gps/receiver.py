@@ -138,9 +138,9 @@ class GpsReceiver:
                 satellites=satellites,
                 duration_s=duration_s,
             )
-            # Provenance birth of the observation file ("prov" source is
-            # outside every station log-volume query, so this is inert to
-            # simulated behaviour).
+            # Provenance birth of the observation file ("prov" source
+            # feeds no station's log meter, so this is inert to simulated
+            # behaviour).
             self.sim.trace.emit(
                 "prov", "created", cls="gps",
                 artifact=f"gps:{file_name}", bytes=reading.size_bytes,

@@ -108,6 +108,21 @@ def dotted_parts(node: ast.AST) -> Optional[List[str]]:
     return None
 
 
+def repro_package(ctx: FileContext) -> Optional[str]:
+    """The repro sub-package (or top-level module) ``ctx``'s file is in."""
+    parts = ctx.posix_path.split("/")
+    try:
+        idx = len(parts) - 1 - parts[::-1].index("repro")
+    except ValueError:
+        return None
+    if idx + 1 >= len(parts):
+        return None
+    head = parts[idx + 1]
+    if head.endswith(".py"):
+        head = head[:-3]  # top-level module, e.g. repro/cli.py
+    return head
+
+
 def _is_float_literal(node: ast.AST) -> bool:
     if isinstance(node, ast.Constant) and isinstance(node.value, float):
         return True
@@ -647,20 +662,6 @@ class LayeringRule(Rule):
     #: ``sim.obs`` handle.
     RESTRICTED_IMPORTERS = {"obs": frozenset({"sim", "cli", "fleet", "analysis"})}
 
-    def _importer_package(self, ctx: FileContext) -> Optional[str]:
-        """The repro sub-package ``ctx``'s file belongs to, or None."""
-        parts = ctx.posix_path.split("/")
-        try:
-            idx = len(parts) - 1 - parts[::-1].index("repro")
-        except ValueError:
-            return None
-        if idx + 1 >= len(parts):
-            return None
-        head = parts[idx + 1]
-        if head.endswith(".py"):
-            head = head[:-3]  # top-level module, e.g. repro/cli.py
-        return head if head in self.LAYERS else None
-
     @staticmethod
     def _type_checking_lines(tree: ast.AST) -> set:
         """Line numbers inside ``if TYPE_CHECKING:`` bodies."""
@@ -692,8 +693,8 @@ class LayeringRule(Rule):
         return out
 
     def check(self, ctx: FileContext) -> Iterator[Finding]:
-        importer = self._importer_package(ctx)
-        if importer is None:
+        importer = repro_package(ctx)
+        if importer not in self.LAYERS:
             return
         importer_layer = self.LAYERS[importer]
         guarded = self._type_checking_lines(ctx.tree)
@@ -723,3 +724,68 @@ class LayeringRule(Rule):
                         f"{self.LAYERS[imported]}): imports point strictly "
                         "downwards (architecture.md §7)",
                     )
+
+
+# ----------------------------------------------------------------------
+# Rule 12: model code never reads the trace
+# ----------------------------------------------------------------------
+@register
+class TraceReadRule(Rule):
+    """Model packages write the trace; they never query it.
+
+    The trace is an output.  A station that sizes its daily log with
+    ``trace.byte_size(...)`` couples simulated outcomes to whether the
+    trace is recording, and walks every station's records to do it — a
+    cost quadratic in fleet size.  Model state the simulation needs (the
+    daily log's byte count) is kept by the model itself, or by a
+    :class:`~repro.sim.trace.LogMeter` that ``Trace.emit`` feeds before
+    its ``enabled`` gate.  The rule flags ``select``, ``iter_select``,
+    ``byte_size``, ``series`` and ``records`` on a receiver named like a
+    trace (``trace``, ``sim.trace``, ``self._trace``) in the model
+    packages.  ``Deployment``'s public ``*_series`` accessors are analysis
+    helpers for examples and benches, and the one allowed site.
+    """
+
+    id = "trace-read"
+    description = "model package queries the trace (select/iter_select/byte_size/series/records) — the trace is an output"
+
+    MODEL_PACKAGES = frozenset({
+        "core", "energy", "comms", "hardware", "probes", "protocol",
+        "sensors", "gps", "environment", "server",
+    })
+    _QUERIES = frozenset({"select", "iter_select", "byte_size", "series", "records"})
+
+    def applies_to(self, ctx: FileContext) -> bool:
+        return repro_package(ctx) in self.MODEL_PACKAGES and super().applies_to(ctx)
+
+    @staticmethod
+    def _allowed_lines(ctx: FileContext) -> set:
+        """Lines of ``Deployment``'s ``*_series`` accessors."""
+        if not ctx.posix_path.endswith("core/deployment.py"):
+            return set()
+        lines: set = set()
+        for node in ast.walk(ctx.tree):
+            if not (isinstance(node, ast.ClassDef) and node.name == "Deployment"):
+                continue
+            for item in node.body:
+                if isinstance(item, ast.FunctionDef) and item.name.endswith("_series"):
+                    lines.update(range(item.lineno, (item.end_lineno or item.lineno) + 1))
+        return lines
+
+    def check(self, ctx: FileContext) -> Iterator[Finding]:
+        allowed = self._allowed_lines(ctx)
+        for node in ast.walk(ctx.tree):
+            if not isinstance(node, ast.Attribute) or node.attr not in self._QUERIES:
+                continue
+            receiver = dotted_parts(node.value)
+            if not receiver or not receiver[-1].lstrip("_").endswith("trace"):
+                continue
+            if node.lineno in allowed:
+                continue
+            yield self.finding(
+                ctx, node,
+                f"{'.'.join(receiver)}.{node.attr} reads the trace from model "
+                "code; keep the state in the model or feed it from "
+                "Trace.emit (a LogMeter) so results do not depend on "
+                "observability",
+            )

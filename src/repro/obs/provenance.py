@@ -37,10 +37,12 @@ layer re-send the file) — that is idempotent, not an anomaly.  A second
 anomaly: it means the simulation double-ingested or resurrected data,
 and the conservation report flags it.
 
-The ledger is a pure trace subscriber: it never emits records, never
-touches the RNG, and never changes ``trace.byte_size`` sums (all
-provenance records use the dedicated ``"prov"`` source, which no station
-log-volume query matches), so attaching it cannot perturb the mission.
+The ledger is a pure trace subscriber: it never emits records and never
+touches the RNG, so attaching it cannot perturb the mission.  Station log
+volume is not read from the trace at all: each station's
+:class:`~repro.sim.trace.LogMeter` is fed by ``Trace.emit`` before its
+``enabled`` gate, and the provenance records use the dedicated ``"prov"``
+source, which feeds no station's meter.
 """
 
 from __future__ import annotations

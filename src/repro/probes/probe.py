@@ -213,9 +213,9 @@ class Probe:
             self._next_task_id += 1
             self._buffer = []
             # Readings become trackable artifacts at the instant the task
-            # freezes their sequence numbers (the "prov" source is never
-            # matched by station log-volume queries, so this cannot perturb
-            # simulated behaviour).
+            # freezes their sequence numbers (the "prov" source feeds no
+            # station's log meter, so this cannot perturb simulated
+            # behaviour).
             self.sim.trace.emit(
                 "prov", "created", cls="reading", probe=self.probe_id,
                 task=self._active_task.task_id, first_seq=0,

@@ -654,13 +654,108 @@ class TestLayering:
         assert findings == [], [str(f) for f in findings]
 
 
+class TestTraceRead:
+    def test_fires_on_windowed_log_sizing_in_core(self):
+        """The historical coupling: a station sized its log from the trace."""
+        found = findings_for(
+            """
+            def stage_log(self):
+                return self.sim.trace.byte_size(source=self.name, start=0.0,
+                                                end=self.sim.now)
+            """,
+            rule="trace-read",
+            path="src/repro/core/station.py",
+        )
+        assert rule_ids(found) == ["trace-read"]
+        assert found[0].line == 3
+
+    def test_fires_on_every_query_and_records(self):
+        found = findings_for(
+            """
+            def peek(sim, trace, self):
+                sim.trace.select(kind="brownout")
+                list(trace.iter_select(source="base"))
+                self._trace.series("state_applied", "state")
+                return len(sim.trace.records)
+            """,
+            rule="trace-read",
+            path="src/repro/server/server.py",
+        )
+        assert rule_ids(found) == ["trace-read"] * 4
+
+    def test_fires_in_every_model_package(self):
+        snippet = """
+            def peek(sim):
+                return sim.trace.records
+            """
+        for package in ("core", "energy", "comms", "hardware", "probes",
+                        "protocol", "sensors", "gps", "environment", "server"):
+            assert rule_ids(findings_for(
+                snippet, rule="trace-read",
+                path=f"src/repro/{package}/module.py")) == ["trace-read"], package
+
+    def test_quiet_outside_model_packages(self):
+        snippet = """
+            def report(deployment):
+                return deployment.sim.trace.select(kind="brownout")
+            """
+        for path in ("src/repro/analysis/mission_report.py",
+                     "src/repro/obs/provenance.py",
+                     "src/repro/faults/invariants.py",
+                     "src/repro/lint/determinism.py",
+                     "src/repro/sim/trace.py",
+                     "tests/core/test_station.py"):
+            assert findings_for(snippet, rule="trace-read", path=path) == [], path
+
+    def test_quiet_on_writes_and_record_methods(self):
+        found = findings_for(
+            """
+            def note(self, record):
+                self.sim.trace.emit(self.name, "tick")
+                self.sim.trace.log_meter(self.name)
+                self.server.select(record)
+                return record.byte_size()
+            """,
+            rule="trace-read",
+            path="src/repro/core/station.py",
+        )
+        assert found == []
+
+    def test_deployment_series_accessors_are_the_only_allowlisted_site(self):
+        snippet = """
+            class Deployment:
+                def voltage_series(self, station="base"):
+                    return self.sim.trace.series("voltage_sample", "volts")
+
+                def brownouts(self):
+                    return self.sim.trace.select(kind="brownout")
+            """
+        found = findings_for(snippet, rule="trace-read",
+                             path="src/repro/core/deployment.py")
+        assert rule_ids(found) == ["trace-read"]
+        assert found[0].line == 7
+        elsewhere = findings_for(snippet, rule="trace-read",
+                                 path="src/repro/core/station.py")
+        assert rule_ids(elsewhere) == ["trace-read", "trace-read"]
+
+    def test_shipped_tree_never_reads_the_trace_from_model_code(self):
+        import pathlib
+
+        from repro.lint.engine import lint_paths
+
+        src = pathlib.Path(__file__).resolve().parents[2] / "src" / "repro"
+        findings = lint_paths([str(src)],
+                              rules=default_rules(select=["trace-read"]))
+        assert findings == [], [str(f) for f in findings]
+
+
 class TestRegistry:
     def test_all_shipped_rules_registered(self):
         expected = {
             "wall-clock", "rng-discipline", "float-equality",
             "mutable-default", "silent-except", "yield-discipline",
             "no-print", "no-hot-path-alloc", "energy-conservation",
-            "no-polling-loop", "layering",
+            "no-polling-loop", "layering", "trace-read",
         }
         assert expected <= set(RULE_REGISTRY)
 

@@ -15,7 +15,9 @@ benchmarks still need them as oracles:
   (``tests/probes/test_deferred_sampling.py``,
   ``benchmarks/test_throughput.py``);
 - :func:`run_sweep_legacy` — the one-future-per-job sweep engine
-  (``benchmarks/test_sweep_scale.py``).
+  (``benchmarks/test_sweep_scale.py``);
+- :class:`WindowedLogSizer` — daily-log sizing by a windowed trace query
+  (``tests/core/test_log_meter_equivalence.py``).
 
 :func:`oracle_arms` runs whole deployments on these arms.
 """
@@ -34,6 +36,7 @@ from tests.oracles.comms import (
     ChunkedSendMixin,
 )
 from tests.oracles.energy import FixedStepBus
+from tests.oracles.logs import WindowedLogSizer
 from tests.oracles.probes import EagerProbe
 from tests.oracles.sweep import run_sweep_legacy
 
@@ -43,6 +46,7 @@ __all__ = [
     "ChunkedSendMixin",
     "EagerProbe",
     "FixedStepBus",
+    "WindowedLogSizer",
     "oracle_arms",
     "run_sweep_legacy",
 ]
