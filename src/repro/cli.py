@@ -27,8 +27,14 @@ import sys
 from typing import List, Optional
 
 from repro.analysis.report import format_table
-from repro.core import Deployment, DeploymentConfig
-from repro.core.config import StationConfig, reference_defaults
+from repro.core import Deployment
+from repro.faults.harness import (
+    add_mission_args,
+    build_mission,
+    extra_station_count,
+    load_fault_plan,
+    mission_overrides,
+)
 from repro.server.archive import ScienceArchive
 
 
@@ -42,7 +48,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     def common(p):
         p.add_argument("--days", type=float, default=7.0, help="days to simulate")
-        p.add_argument("--seed", type=int, default=0, help="master random seed")
+        add_mission_args(p)
         p.add_argument("--no-wind", action="store_true",
                        help="disable the base station's wind turbine")
         p.add_argument("--solar-w", type=float, default=None,
@@ -60,26 +66,12 @@ def build_parser() -> argparse.ArgumentParser:
                        help="measure wall-clock time per process and print a "
                             "hotspot report to stderr (host-dependent; never "
                             "part of any exported artefact)")
-        p.add_argument("--faults", metavar="PLAN.json", default=None,
-                       help="fault plan to arm before the run (JSON; see "
-                            "repro.faults) — same seed + same plan replays "
-                            "byte-identically")
         p.add_argument("--alerts", metavar="RULES.json", default=None,
                        help="declarative alert/SLO rules evaluated against "
                             "the run (JSON; see docs/telemetry_rollup.md)")
         fleet_args(p)
 
     def fleet_args(p):
-        p.add_argument("--stations", type=int, default=None, metavar="N",
-                       help="total station count (>= 2: base + reference + "
-                            "solar-only extras)")
-        p.add_argument("--servers", type=int, default=None, metavar="N",
-                       help="server fleet size (default 1 = the classic "
-                            "single Southampton server)")
-        p.add_argument("--server-policy",
-                       choices=("static", "round-robin", "hop"), default=None,
-                       help="station upload-target policy against a multi-"
-                            "server fleet (default: static)")
         p.add_argument("--tenant-size", type=int, default=None, metavar="K",
                        help="group stations into tenants of K for per-tenant "
                             "override state (default: one global tenant)")
@@ -208,17 +200,15 @@ def build_parser() -> argparse.ArgumentParser:
     )
     races.add_argument("--days", type=float, default=45.0,
                        help="replay length in simulated days (default: 45)")
-    races.add_argument("--seed", type=int, default=0, help="master seed")
-    races.add_argument("--faults", metavar="PLAN.json", default=None,
-                       help="fault plan to arm in every replay (JSON file)")
+    add_mission_args(races)
     fleet_args(races)
     races.add_argument("--policies", default="fifo,shuffle:1",
                        metavar="P1,P2,...",
                        help="tie-break policies; the first is the replay "
                             "baseline (default: %(default)s)")
     races.add_argument("--paths", nargs="*", default=["src/repro"],
-                       help="paths the static race rules lint "
-                            "(default: src/repro)")
+                       help="paths the static race rules lint (default: "
+                            "src/repro; none = the replay alone)")
     races.add_argument("--format", choices=("text", "json"), default="text",
                        help="report format")
     races.add_argument("--output", metavar="FILE", default=None,
@@ -237,10 +227,8 @@ def build_parser() -> argparse.ArgumentParser:
 def _load_json(path: str, what: str):
     """Parse a JSON input file; a missing or malformed one is a clean error.
 
-    Prints ``repro-sim: cannot load <what>: <reason>`` and exits 2 — the
-    same status an unwritable output path gets — so a bad input file never
-    reads as a run verdict (``inject``'s invariant violation, ``races``'
-    race found).
+    Prints ``repro-sim: cannot load <what>: <reason>`` and exits 2, as
+    :func:`repro.faults.harness.load_fault_plan` does for fault plans.
     """
     import json
 
@@ -252,58 +240,14 @@ def _load_json(path: str, what: str):
         raise SystemExit(2)
 
 
-def _load_fault_plan(args) -> Optional[dict]:
-    """The ``--faults`` plan as its dict form, or None."""
-    path = getattr(args, "faults", None)
-    if not path:
-        return None
-    return _load_json(path, "fault plan")
-
-
-def _extra_stations(stations: int) -> int:
-    """``--stations N`` as the count of stations beyond base + reference."""
-    if stations < 2:
-        raise SystemExit("repro-sim: --stations must be >= 2 "
-                         "(base + reference)")
-    return stations - 2
-
-
-def _fleet_overrides(args) -> dict:
-    """``--stations/--servers/...`` as DeploymentConfig kwargs."""
-    overrides = {}
-    stations = getattr(args, "stations", None)
-    if stations is not None:
-        overrides["extra_stations"] = _extra_stations(stations)
-    if getattr(args, "servers", None) is not None:
-        overrides["servers"] = args.servers
-    if getattr(args, "server_policy", None) is not None:
-        overrides["server_policy"] = args.server_policy
-    if getattr(args, "tenant_size", None) is not None:
-        overrides["tenant_size"] = args.tenant_size
-    return overrides
-
-
 def _build_deployment(args, check_invariants: bool = False) -> Deployment:
-    base = StationConfig()
-    reference = reference_defaults()
-    if args.no_wind:
-        base.wind_w = 0.0
-    if args.solar_w is not None:
-        base.solar_w = args.solar_w
-    if getattr(args, "batched_sync", False):
-        base.batched_sync = True
-    deployment = Deployment(DeploymentConfig(seed=args.seed, base=base,
-                                             reference=reference,
-                                             fault_plan=_load_fault_plan(args),
-                                             **_fleet_overrides(args)))
+    deployment, fault_engine = build_mission(
+        args.seed, mission_overrides(args),
+        fault_plan=load_fault_plan(args.faults),
+        check_invariants=check_invariants)
     #: Armed fault engine (None without --faults); ``inject`` reads the
     #: invariant report off it after the run.
-    deployment.fault_engine = None
-    if deployment.config.fault_plan is not None:
-        from repro.faults import apply_fault_plan
-
-        deployment.fault_engine = apply_fault_plan(
-            deployment, check_invariants=check_invariants)
+    deployment.fault_engine = fault_engine
     if args.override is not None:
         deployment.set_manual_override(args.override)
     #: Armed alert engine (None without --alerts); every command that
@@ -587,7 +531,7 @@ def _cmd_sweep(args) -> int:
     # Fleet sugar: the flags expand to ordinary grid axes, so they cross
     # with --param and land in config digests like any other override.
     if args.stations is not None:
-        params.setdefault("extra_stations", [_extra_stations(args.stations)])
+        params.setdefault("extra_stations", [extra_station_count(args.stations)])
     if args.servers:
         params.setdefault("servers",
                           [int(v) for v in args.servers.split(",") if v])
@@ -598,7 +542,7 @@ def _cmd_sweep(args) -> int:
     seeds = [int(s) for s in args.seeds.split(",") if s]
     fault_plans = None
     if args.faults:
-        fault_plans = [None if path == "none" else _load_json(path, "fault plan")
+        fault_plans = [None if path == "none" else load_fault_plan(path)
                        for path in args.faults]
     alert_rules = None
     if args.alerts:
@@ -710,11 +654,11 @@ def _cmd_races(args) -> int:
 
     static_findings = lint_paths(
         args.paths, rules=default_rules(select=list(RACE_RULE_IDS)))
-    fault_plan = _load_fault_plan(args)
     policies = [p.strip() for p in args.policies.split(",") if p.strip()]
     report = check_tie_robustness(seed=args.seed, days=args.days,
-                                  policies=policies, fault_plan=fault_plan,
-                                  overrides=_fleet_overrides(args) or None)
+                                  policies=policies,
+                                  fault_plan=load_fault_plan(args.faults),
+                                  overrides=mission_overrides(args))
     if args.format == "json":
         text = json.dumps({
             "static": [finding.to_dict() for finding in static_findings],

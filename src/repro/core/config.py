@@ -95,7 +95,13 @@ def reference_defaults(name: str = "reference") -> StationConfig:
 
 @dataclass
 class DeploymentConfig:
-    """The full two-station Iceland deployment."""
+    """The full two-station Iceland deployment.
+
+    Fault plans are not configuration: they reach a deployment only
+    through ``repro.faults.build_mission`` / ``apply_fault_plan``, which
+    arm them on the built deployment (the core layer never imports
+    ``repro.faults``).
+    """
 
     seed: int = 0
     base: StationConfig = field(default_factory=StationConfig)
@@ -121,16 +127,10 @@ class DeploymentConfig:
     probe_time_sync: bool = True
     #: Fit the §VII enclosure pitch/roll sensors on both stations.
     station_tilt_sensors: bool = False
-    #: Fault plan to arm against this deployment, as the plain-dict form of
-    #: :class:`repro.faults.FaultPlan`.  Data only: the core layer never
-    #: interprets it — the layers above (cli, fleet, lint) hand it to
-    #: ``repro.faults.apply_fault_plan`` before running, preserving the §7
-    #: downward-imports rule.
-    fault_plan: Optional[dict] = None
     #: Kernel tie-break policy for same-timestamp events: ``"fifo"``
     #: (default), ``"lifo"``, or ``"shuffle:<seed>"``.  The perturbed
     #: policies are replay *controls* for the races harness
-    #: (``repro.lint.tie_replay``); production runs keep fifo.
+    #: (``repro-sim races``); production runs keep fifo.
     tie_break: str = "fifo"
     #: Additional solar-only stations beyond the paper's base + reference
     #: pair (``station00``, ``station01``, ...), each with its wake/comms

@@ -10,17 +10,16 @@ claims.  Same seed + same plan reproduces byte-identical traces.
 
 Typical use::
 
-    from repro.core import Deployment, DeploymentConfig
-    from repro.faults import apply_fault_plan, canonical_chaos_plan
+    from repro.faults import build_mission, canonical_chaos_plan
 
-    deployment = Deployment(DeploymentConfig(seed=42))
-    engine = apply_fault_plan(deployment, canonical_chaos_plan())
+    deployment, engine = build_mission(42, fault_plan=canonical_chaos_plan(),
+                                       check_invariants=True)
     deployment.run_days(45)
     report = engine.finish()
     assert report.ok, report.format()
 """
 
-from repro.faults.harness import FaultEngine, apply_fault_plan
+from repro.faults.harness import FaultEngine, apply_fault_plan, build_mission
 from repro.faults.invariants import (
     FaultOutcome,
     InvariantChecker,
@@ -46,5 +45,6 @@ __all__ = [
     "ResolvedFault",
     "Violation",
     "apply_fault_plan",
+    "build_mission",
     "canonical_chaos_plan",
 ]

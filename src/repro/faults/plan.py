@@ -14,9 +14,10 @@ two shapes:
 
 Plans load from plain dicts or JSON files (:meth:`FaultPlan.from_dict`,
 :meth:`FaultPlan.from_json_file`) and round-trip back out
-(:meth:`FaultPlan.to_dict`), so a plan can live in
-``DeploymentConfig.fault_plan``, a ``--faults plan.json`` CLI flag, or a
-fleet sweep grid interchangeably.
+(:meth:`FaultPlan.to_dict`), so a plan can come from a ``--faults
+plan.json`` CLI flag, a fleet sweep grid, or code interchangeably; every
+one reaches the deployment as the ``fault_plan`` argument of
+:func:`repro.faults.harness.build_mission`.
 
 The *application* of a plan to a live deployment lives one module up in
 :mod:`repro.faults.harness`; this module is pure data + resolution.

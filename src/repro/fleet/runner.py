@@ -38,7 +38,6 @@ from typing import (
     Tuple,
 )
 
-from repro.core.config import DeploymentConfig, StationConfig
 from repro.core.deployment import Deployment
 from repro.fleet.cache import SweepCache, config_digest, job_digest
 from repro.fleet.results import SweepResult
@@ -46,15 +45,6 @@ from repro.fleet.results import SweepResult
 #: Override items as a sorted tuple of pairs — hashable, picklable, and
 #: canonical (two dicts with the same content produce the same job).
 OverrideItems = Tuple[Tuple[str, Any], ...]
-
-_STATION_FIELDS = frozenset(f.name for f in dataclasses.fields(StationConfig))
-
-#: Deployment-level grid axes: scalar DeploymentConfig fields a sweep may
-#: override directly (fleet shape, policies, tenancy...).  The structured
-#: fields (station configs, weather, fault plans) have their own channels.
-_DEPLOYMENT_FIELDS = frozenset(
-    f.name for f in dataclasses.fields(DeploymentConfig)
-) - {"seed", "base", "reference", "weather", "glacier", "fault_plan"}
 
 
 @dataclasses.dataclass(frozen=True)
@@ -106,11 +96,13 @@ class SweepSpec:
         consumes this directly so a million-run campaign never holds the
         full job list (let alone a future per job) in memory.
         """
+        from repro.faults.harness import DEPLOYMENT_FIELDS, STATION_FIELDS
+
         plans = self.fault_plans if self.fault_plans else [None]
         rules_json = (None if self.alert_rules is None
                       else _canonical_plan(self.alert_rules))
         for overrides in self.grid:
-            unknown = set(overrides) - _STATION_FIELDS - _DEPLOYMENT_FIELDS
+            unknown = set(overrides) - STATION_FIELDS - DEPLOYMENT_FIELDS
             if unknown:
                 raise ValueError(
                     f"unknown StationConfig/DeploymentConfig field(s)"
@@ -166,20 +158,13 @@ def run_job(job: SweepJob) -> Dict[str, Any]:
     """
     import json
 
-    base = StationConfig()
-    deployment_overrides: Dict[str, Any] = {}
-    for name, value in job.overrides:
-        if name in _DEPLOYMENT_FIELDS:
-            deployment_overrides[name] = value
-        else:
-            setattr(base, name, value)
-    deployment = Deployment(DeploymentConfig(seed=job.seed, base=base,
-                                             **deployment_overrides))
-    engine = None
-    if job.fault_plan_json is not None:
-        from repro.faults import apply_fault_plan
+    from repro.faults.harness import build_mission
 
-        engine = apply_fault_plan(deployment, json.loads(job.fault_plan_json))
+    deployment, engine = build_mission(
+        job.seed, dict(job.overrides),
+        fault_plan=(None if job.fault_plan_json is None
+                    else json.loads(job.fault_plan_json)),
+        check_invariants=True)
     alert_engine = None
     if job.alert_rules_json is not None:
         from repro.obs.alerts import AlertEngine

@@ -52,29 +52,6 @@ def lines_digest(lines: Iterable[str]) -> str:
     return digest.hexdigest()
 
 
-def build_mission(seed: int, fault_plan: Optional[dict] = None,
-                  tie_break: str = "fifo",
-                  overrides: Optional[dict] = None):
-    """A ready-to-run canonical mission (fault plan armed, policy set).
-
-    Shared by the same-seed replay check here and the perturbed-tie
-    replay harness (:mod:`repro.lint.tie_replay`), which needs the
-    deployment *before* the run to switch on kernel tie diagnostics.
-    ``overrides`` holds extra :class:`DeploymentConfig` kwargs (fleet
-    shape, upload policy, tenancy) so the replay gates cover fleet
-    missions too.
-    """
-    from repro.core import Deployment, DeploymentConfig
-
-    deployment = Deployment(DeploymentConfig(seed=seed, tie_break=tie_break,
-                                             **(overrides or {})))
-    if fault_plan is not None:
-        from repro.faults import apply_fault_plan
-
-        apply_fault_plan(deployment, fault_plan, check_invariants=False)
-    return deployment
-
-
 def run_mission(seed: int, days: float,
                 fault_plan: Optional[dict] = None,
                 tie_break: str = "fifo",
@@ -84,10 +61,15 @@ def run_mission(seed: int, days: float,
     ``fault_plan`` (a :class:`repro.faults.FaultPlan` dict form) is armed
     before the run, so the replay comparison covers fault scheduling,
     injection edges and every recovery path the plan provokes.
-    ``tie_break`` selects the kernel's same-timestamp ordering policy.
+    ``tie_break`` selects the kernel's same-timestamp ordering policy;
+    ``overrides`` are :func:`repro.faults.harness.build_mission`
+    overrides (fleet shape, station settings).
     """
-    deployment = build_mission(seed, fault_plan=fault_plan, tie_break=tie_break,
-                               overrides=overrides)
+    from repro.faults.harness import build_mission
+
+    deployment, _ = build_mission(seed, {**(overrides or {}),
+                                         "tie_break": tie_break},
+                                  fault_plan=fault_plan)
     deployment.run_days(days)
     lines = [record_canonical(r) for r in deployment.sim.trace.records]
     return trace_digest(deployment.sim.trace.records), lines
@@ -155,39 +137,23 @@ def check_determinism(seed: int = 0, days: float = 0.5,
 
 def main(argv: Optional[List[str]] = None) -> int:
     """Entry point: exit 0 iff the replay is bit-identical."""
+    from repro.faults.harness import (
+        add_mission_args,
+        load_fault_plan,
+        mission_overrides,
+    )
+
     parser = argparse.ArgumentParser(
         prog="python -m repro.lint.determinism",
         description="Replay a short mission twice and diff trace digests.",
     )
-    parser.add_argument("--seed", type=int, default=0, help="master seed")
     parser.add_argument("--days", type=float, default=0.5,
                         help="mission length in simulated days")
-    parser.add_argument("--faults", metavar="PLAN.json", default=None,
-                        help="fault plan to arm in both runs (JSON file)")
-    parser.add_argument("--stations", type=int, default=None, metavar="N",
-                        help="total station count (>= 2)")
-    parser.add_argument("--servers", type=int, default=None, metavar="N",
-                        help="server fleet size")
-    parser.add_argument("--server-policy", default=None,
-                        choices=("static", "round-robin", "hop"),
-                        help="station upload-target policy")
+    add_mission_args(parser)
     args = parser.parse_args(argv)
-    fault_plan = None
-    if args.faults is not None:
-        import json
-
-        with open(args.faults, "r", encoding="utf-8") as fh:
-            fault_plan = json.load(fh)
-    overrides = {}
-    if args.stations is not None:
-        overrides["extra_stations"] = max(0, args.stations - 2)
-    if args.servers is not None:
-        overrides["servers"] = args.servers
-    if args.server_policy is not None:
-        overrides["server_policy"] = args.server_policy
     report = check_determinism(seed=args.seed, days=args.days,
-                               fault_plan=fault_plan,
-                               overrides=overrides or None)
+                               fault_plan=load_fault_plan(args.faults),
+                               overrides=mission_overrides(args))
     # This module doubles as a CLI entry point; stdout is its interface.
     print(report.summary())  # repro-lint: disable=no-print
     return 0 if report.identical else 1

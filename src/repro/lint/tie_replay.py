@@ -20,22 +20,18 @@ callsites whose relative order flipped — reported as structured
 :class:`~repro.lint.findings.Finding` objects under the
 ``tie-order-divergence`` rule id.
 
-Run directly::
+Run it as ``repro-sim races``, which also runs the static prong
+(``--paths`` with no values gives the replay alone)::
 
-    python -m repro.lint.tie_replay --seed 0 --days 10
-
-or via ``repro-sim races`` (which also runs the static prong).
+    repro-sim races --seed 0 --days 10 --paths
 """
 
 from __future__ import annotations
 
-import argparse
-import sys
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.lint.determinism import (
-    build_mission,
     lines_digest,
     record_canonical,
     trace_digest,
@@ -326,9 +322,13 @@ def check_tie_robustness(
     if len(policies) < 2:
         raise ValueError("need at least two policies (baseline + perturbed)")
     if mission_factory is None:
+        from repro.faults.harness import build_mission
+
         def mission_factory(policy: str):
-            return build_mission(seed, fault_plan=fault_plan, tie_break=policy,
-                                 overrides=overrides)
+            deployment, _ = build_mission(
+                seed, {**(overrides or {}), "tie_break": policy},
+                fault_plan=fault_plan)
+            return deployment
     baseline_policy = policies[0]
     baseline_run, baseline_lines = _run_policy(mission_factory, baseline_policy, days)
     runs: List[PolicyRun] = [baseline_run]
@@ -349,53 +349,3 @@ def check_tie_robustness(
         runs=tuple(runs), divergences=tuple(divergences),
         findings=tuple(findings),
     )
-
-
-def main(argv: Optional[List[str]] = None) -> int:
-    """Entry point: exit 0 iff the mission is tie-order robust."""
-    parser = argparse.ArgumentParser(
-        prog="python -m repro.lint.tie_replay",
-        description="Replay a mission under perturbed tie-break policies "
-                    "and diff normalized trace digests.",
-    )
-    parser.add_argument("--seed", type=int, default=0, help="master seed")
-    parser.add_argument("--days", type=float, default=10.0,
-                        help="mission length in simulated days")
-    parser.add_argument("--policies", default=",".join(DEFAULT_POLICIES),
-                        metavar="P1,P2,...",
-                        help="tie-break policies; the first is the baseline "
-                             "(default: %(default)s)")
-    parser.add_argument("--faults", metavar="PLAN.json", default=None,
-                        help="fault plan to arm in every replay (JSON file)")
-    parser.add_argument("--stations", type=int, default=None, metavar="N",
-                        help="total station count (>= 2)")
-    parser.add_argument("--servers", type=int, default=None, metavar="N",
-                        help="server fleet size")
-    parser.add_argument("--server-policy", default=None,
-                        choices=("static", "round-robin", "hop"),
-                        help="station upload-target policy")
-    args = parser.parse_args(argv)
-    fault_plan = None
-    if args.faults is not None:
-        import json
-
-        with open(args.faults, "r", encoding="utf-8") as fh:
-            fault_plan = json.load(fh)
-    overrides = {}
-    if args.stations is not None:
-        overrides["extra_stations"] = max(0, args.stations - 2)
-    if args.servers is not None:
-        overrides["servers"] = args.servers
-    if args.server_policy is not None:
-        overrides["server_policy"] = args.server_policy
-    policies = [p.strip() for p in args.policies.split(",") if p.strip()]
-    report = check_tie_robustness(seed=args.seed, days=args.days,
-                                  policies=policies, fault_plan=fault_plan,
-                                  overrides=overrides or None)
-    # This module doubles as a CLI entry point; stdout is its interface.
-    print(report.format())  # repro-lint: disable=no-print
-    return 0 if report.robust else 1
-
-
-if __name__ == "__main__":  # pragma: no cover
-    sys.exit(main())

@@ -134,45 +134,60 @@ class RollupAggregate:
         a duplicate fold key means an identical job digest, hence an
         identical snapshot, so skipping keeps the aggregate exact.
         """
-        key = (str(key[0]), str(key[1]), int(key[2]))
+        key = _fold_key(key)
         if key in self._keys:
             return False
         self._keys.add(key)
         for entry in snapshot["metrics"]:  # type: ignore[index]
-            name = entry["name"]
-            kind = entry["kind"]
-            pinned = self._kinds.setdefault(name, kind)
-            if pinned != kind:
-                raise ValueError(
-                    f"metric {name!r} is a {pinned} in one run and a {kind} "
-                    f"in another — snapshots disagree")
-            metric_key = (name, tuple(sorted(
-                (str(k), str(v)) for k, v in entry["labels"].items())))
-            if kind == "counter":
-                self._counters.setdefault(metric_key, ExactSum()).add(
-                    float(entry["value"]))
-            elif kind == "gauge":
-                candidate = (key, float(entry["value"]))
-                current = self._gauges.get(metric_key)
-                if current is None or candidate[0] > current[0]:
-                    self._gauges[metric_key] = candidate
-            elif kind == "histogram":
-                buckets = tuple(float(b) for b in entry["buckets"])
-                hist = self._hists.get(metric_key)
-                if hist is None:
-                    hist = self._hists[metric_key] = _HistAccumulator(buckets)
-                elif hist.buckets != buckets:
-                    raise ValueError(
-                        f"histogram {name!r} bucket specs disagree across "
-                        f"runs: {hist.buckets} vs {buckets}")
-                for index, count in enumerate(entry["counts"]):
-                    hist.counts[index] += int(count)
-                hist.inf_count += int(entry["inf_count"])
-                hist.sum.add(float(entry["sum"]))
-                hist.count += int(entry["count"])
-            else:
-                raise ValueError(f"unknown metric kind {kind!r} in snapshot")
+            self._merge_entry(entry, entry["kind"], "run", gauge_key=key)
         return True
+
+    def _merge_entry(self, entry: Mapping[str, object], kind: str,
+                     where: str, gauge_key: Optional[FoldKey] = None,
+                     exact: bool = False) -> None:
+        """Merge one metric entry: the per-entry rule every entry point shares.
+
+        Pins the metric's kind, then adds a counter, keeps the gauge value
+        with the larger fold key (``gauge_key``, else the entry's own
+        recorded ``key``), or adds a histogram after checking its bucket
+        spec.  ``exact`` entries carry raw :meth:`ExactSum.partials`
+        (worker partials) instead of rounded values.  ``where`` names
+        the source ("run", "partial", "shard") in conflict errors.
+        """
+        name = entry["name"]
+        pinned = self._kinds.setdefault(name, kind)
+        if pinned != kind:
+            raise ValueError(
+                f"metric {name!r} is a {pinned} in one {where} and a {kind} "
+                f"in another")
+        metric_key = _entry_key(entry)
+        if kind == "counter":
+            self._counters.setdefault(metric_key, ExactSum()).add_partials(
+                entry["partials"] if exact else (entry["value"],))
+        elif kind == "gauge":
+            if gauge_key is None:
+                gauge_key = _fold_key(entry["key"])
+            candidate = (gauge_key, float(entry["value"]))
+            current = self._gauges.get(metric_key)
+            if current is None or candidate[0] > current[0]:
+                self._gauges[metric_key] = candidate
+        elif kind == "histogram":
+            buckets = tuple(float(b) for b in entry["buckets"])
+            hist = self._hists.get(metric_key)
+            if hist is None:
+                hist = self._hists[metric_key] = _HistAccumulator(buckets)
+            elif hist.buckets != buckets:
+                raise ValueError(
+                    f"histogram {name!r} bucket specs disagree across "
+                    f"{where}s: {hist.buckets} vs {buckets}")
+            for index, count in enumerate(entry["counts"]):
+                hist.counts[index] += int(count)
+            hist.inf_count += int(entry["inf_count"])
+            hist.sum.add_partials(
+                entry["sum_partials"] if exact else (entry["sum"],))
+            hist.count += int(entry["count"])
+        else:
+            raise ValueError(f"unknown metric kind {kind!r} in {where}")
 
     # ------------------------------------------------------------------
     # Worker partials (intra-sweep IPC)
@@ -226,46 +241,17 @@ class RollupAggregate:
         version = doc.get("version")
         if version != self.PARTIAL_VERSION:
             raise ValueError(f"unsupported rollup partial version {version!r}")
-        keys = {(str(k[0]), str(k[1]), int(k[2]))
-                for k in doc["keys"]}  # type: ignore[union-attr]
+        keys = {_fold_key(k) for k in doc["keys"]}  # type: ignore[union-attr]
         overlap = keys & self._keys
         if overlap:
             sample = sorted(overlap)[0]
             raise ValueError(
                 f"rollup partials overlap on fold key {sample!r} "
                 f"({len(overlap)} shared keys) — a job was folded twice")
-        for name, kind in doc["kinds"].items():  # type: ignore[union-attr]
-            pinned = self._kinds.setdefault(name, kind)
-            if pinned != kind:
-                raise ValueError(
-                    f"metric {name!r} is a {pinned} in one partial and a "
-                    f"{kind} in another")
-        for entry in doc["counters"]:  # type: ignore[index]
-            self._counters.setdefault(
-                _entry_key(entry), ExactSum()).add_partials(entry["partials"])
-        for entry in doc["gauges"]:  # type: ignore[index]
-            key = entry["key"]
-            candidate = ((str(key[0]), str(key[1]), int(key[2])),
-                         float(entry["value"]))
-            metric_key = _entry_key(entry)
-            current = self._gauges.get(metric_key)
-            if current is None or candidate[0] > current[0]:
-                self._gauges[metric_key] = candidate
-        for entry in doc["histograms"]:  # type: ignore[index]
-            buckets = tuple(float(b) for b in entry["buckets"])
-            metric_key = _entry_key(entry)
-            hist = self._hists.get(metric_key)
-            if hist is None:
-                hist = self._hists[metric_key] = _HistAccumulator(buckets)
-            elif hist.buckets != buckets:
-                raise ValueError(
-                    f"histogram {entry['name']!r} bucket specs disagree "
-                    f"across partials: {hist.buckets} vs {buckets}")
-            for index, count in enumerate(entry["counts"]):
-                hist.counts[index] += int(count)
-            hist.inf_count += int(entry["inf_count"])
-            hist.sum.add_partials(entry["sum_partials"])
-            hist.count += int(entry["count"])
+        for kind, section in (("counter", "counters"), ("gauge", "gauges"),
+                              ("histogram", "histograms")):
+            for entry in doc[section]:  # type: ignore[union-attr]
+                self._merge_entry(entry, kind, "partial", exact=True)
         self._keys.update(keys)
 
     # ------------------------------------------------------------------
@@ -305,25 +291,16 @@ class RollupAggregate:
 
     def to_registry(self) -> MetricsRegistry:
         """Materialise the aggregate as a plain registry (for exporters)."""
-        registry = MetricsRegistry()
-        for entry in self.to_doc()["metrics"]:  # type: ignore[index]
-            labels = entry["labels"]
-            if entry["kind"] == "counter":
-                registry.counter(entry["name"], **labels).inc(entry["value"])
-            elif entry["kind"] == "gauge":
-                registry.gauge(entry["name"], **labels).set(entry["value"])
-            else:
-                hist = registry.histogram(entry["name"],
-                                          buckets=entry["buckets"], **labels)
-                hist.counts = [int(c) for c in entry["counts"]]
-                hist.inf_count = int(entry["inf_count"])
-                hist.sum = float(entry["sum"])
-                hist.count = int(entry["count"])
-        return registry
+        return MetricsRegistry.from_snapshot(self.to_doc())
+
+
+def _fold_key(raw) -> FoldKey:
+    """A fold key in canonical types (JSON turns the tuple into a list)."""
+    return (str(raw[0]), str(raw[1]), int(raw[2]))
 
 
 def _entry_key(entry: Mapping[str, object]) -> _MetricKey:
-    """The aggregate-internal identity of a partial-doc metric entry."""
+    """The aggregate-internal identity of a metric entry."""
     return (entry["name"], tuple(sorted(
         (str(k), str(v))
         for k, v in entry["labels"].items())))  # type: ignore[union-attr]
@@ -342,47 +319,14 @@ def merge_rollups(docs: Iterable[Mapping[str, object]]) -> Dict[str, object]:
         version = doc.get("version")
         if version != 1:
             raise ValueError(f"unsupported rollup version {version!r}")
-        shard_keys = {tuple(key) for key in doc["keys"]}  # type: ignore[index]
-        overlap = {(k[0], k[1], k[2]) for k in shard_keys} & merged._keys
+        shard_keys = {_fold_key(key) for key in doc["keys"]}  # type: ignore[index]
+        overlap = shard_keys & merged._keys
         if overlap:
             sample = sorted(overlap)[0]
             raise ValueError(
                 f"rollup shards overlap on fold key {sample!r} "
                 f"({len(overlap)} shared keys) — refusing to double-count")
         for entry in doc["metrics"]:  # type: ignore[index]
-            name = entry["name"]
-            kind = entry["kind"]
-            pinned = merged._kinds.setdefault(name, kind)
-            if pinned != kind:
-                raise ValueError(
-                    f"metric {name!r} is a {pinned} in one shard and a "
-                    f"{kind} in another")
-            metric_key = (name, tuple(sorted(
-                (str(k), str(v)) for k, v in entry["labels"].items())))
-            if kind == "counter":
-                merged._counters.setdefault(metric_key, ExactSum()).add(
-                    float(entry["value"]))
-            elif kind == "gauge":
-                key = entry["key"]
-                candidate = ((str(key[0]), str(key[1]), int(key[2])),
-                             float(entry["value"]))
-                current = merged._gauges.get(metric_key)
-                if current is None or candidate[0] > current[0]:
-                    merged._gauges[metric_key] = candidate
-            else:
-                buckets = tuple(float(b) for b in entry["buckets"])
-                hist = merged._hists.get(metric_key)
-                if hist is None:
-                    hist = merged._hists[metric_key] = _HistAccumulator(buckets)
-                elif hist.buckets != buckets:
-                    raise ValueError(
-                        f"histogram {name!r} bucket specs disagree across "
-                        f"shards: {hist.buckets} vs {buckets}")
-                for index, count in enumerate(entry["counts"]):
-                    hist.counts[index] += int(count)
-                hist.inf_count += int(entry["inf_count"])
-                hist.sum.add(float(entry["sum"]))
-                hist.count += int(entry["count"])
-        merged._keys.update((str(k[0]), str(k[1]), int(k[2]))
-                            for k in shard_keys)
+            merged._merge_entry(entry, entry["kind"], "shard")
+        merged._keys.update(shard_keys)
     return merged.to_doc()

@@ -300,9 +300,9 @@ class TestDeploymentDigests:
 
     def test_trace_normalization_helper_stable(self):
         """normalize_tie_order on a real exact-mode trace is idempotent."""
-        from repro.lint.determinism import build_mission
+        from repro.faults import build_mission
 
-        deployment = build_mission(seed=1)
+        deployment, _ = build_mission(1)
         deployment.run_days(1.0)
         lines = [record_canonical(r) for r in deployment.sim.trace.records]
         normalized = normalize_tie_order(lines)

@@ -13,7 +13,7 @@ from pathlib import Path
 
 import pytest
 
-from repro.lint.determinism import build_mission
+from repro.faults import build_mission
 from tests.oracles import WindowedLogSizer
 
 CHAOS_PLAN = (Path(__file__).resolve().parents[2]
@@ -47,8 +47,9 @@ class PairedMeter:
 def test_every_staged_log_matches_the_windowed_query(mission, tie_break):
     spec = MISSIONS[mission]
     plan = json.loads(CHAOS_PLAN.read_text()) if spec.get("plan") else None
-    deployment = build_mission(spec["seed"], fault_plan=plan, tie_break=tie_break,
-                               overrides=spec.get("overrides"))
+    deployment, _ = build_mission(
+        spec["seed"], {**spec.get("overrides", {}), "tie_break": tie_break},
+        fault_plan=plan)
     trace = deployment.sim.trace
     takes = []
     for station in deployment.stations:

@@ -10,9 +10,7 @@ import os
 
 import pytest
 
-from repro.core import Deployment, DeploymentConfig
-from repro.core.config import StationConfig
-from repro.faults import apply_fault_plan
+from repro.faults import build_mission
 
 PLAN_PATH = os.path.join(os.path.dirname(__file__), "..", "..",
                          "examples", "faults", "fleet_outage.json")
@@ -22,11 +20,10 @@ PLAN_PATH = os.path.join(os.path.dirname(__file__), "..", "..",
 def mission():
     with open(PLAN_PATH, "r", encoding="utf-8") as fh:
         plan = json.load(fh)
-    base = StationConfig(batched_sync=True)
-    deployment = Deployment(DeploymentConfig(
-        seed=5, base=base, extra_stations=18, servers=2,
-        server_policy="hop", fault_plan=plan))
-    engine = apply_fault_plan(deployment, check_invariants=True)
+    deployment, engine = build_mission(
+        5, {"batched_sync": True, "extra_stations": 18, "servers": 2,
+            "server_policy": "hop"},
+        fault_plan=plan, check_invariants=True)
     deployment.run_days(6)
     conservation = deployment.sim.obs.finalise(deployment.sim)
     report = engine.finish()

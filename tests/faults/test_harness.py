@@ -3,7 +3,13 @@
 import pytest
 
 from repro.core import Deployment, DeploymentConfig
-from repro.faults import FaultPlan, FaultSpec, apply_fault_plan, canonical_chaos_plan
+from repro.faults import (
+    FaultPlan,
+    FaultSpec,
+    apply_fault_plan,
+    build_mission,
+    canonical_chaos_plan,
+)
 from repro.lint.determinism import check_determinism
 
 
@@ -21,21 +27,18 @@ class TestApplyFaultPlan:
         deployment = Deployment(DeploymentConfig(seed=1))
         assert apply_fault_plan(deployment) is None
 
-    def test_config_dict_plan_is_armed(self):
-        config = DeploymentConfig(seed=1, fault_plan=_short_plan().to_dict())
-        deployment = Deployment(config)
-        engine = apply_fault_plan(deployment)
+    def test_dict_plan_is_armed(self):
+        deployment = Deployment(DeploymentConfig(seed=1))
+        engine = apply_fault_plan(deployment, _short_plan().to_dict())
         assert engine is not None
         assert len(engine.resolved) == 2
         assert engine.checker is not None
 
-    def test_explicit_plan_beats_config(self):
-        config = DeploymentConfig(seed=1, fault_plan=_short_plan().to_dict())
-        deployment = Deployment(config)
-        other = FaultPlan(name="other", specs=[
-            FaultSpec(kind="rtc-reset", station="base", at_s=10.0)])
-        engine = apply_fault_plan(deployment, other, check_invariants=False)
-        assert engine.plan.name == "other"
+    def test_invariant_checker_is_optional(self):
+        deployment = Deployment(DeploymentConfig(seed=1))
+        engine = apply_fault_plan(deployment, _short_plan(),
+                                  check_invariants=False)
+        assert engine.plan.name == "short"
         assert engine.checker is None
 
     def test_unknown_station_rejected_at_arm_time(self):
@@ -52,6 +55,29 @@ class TestApplyFaultPlan:
                       duration_s=3600.0)])
         with pytest.raises(ValueError, match="no probe links"):
             apply_fault_plan(deployment, plan)
+
+
+class TestBuildMission:
+    def test_overrides_split_between_base_station_and_config(self):
+        deployment, engine = build_mission(
+            3, {"solar_w": 5.0, "extra_stations": 1, "servers": 2})
+        assert engine is None
+        assert deployment.config.seed == 3
+        assert deployment.config.base.solar_w == 5.0
+        assert deployment.config.reference.solar_w == 10.0
+        assert deployment.config.servers == 2
+        assert len(deployment.stations) == 3
+
+    def test_plan_armed_with_optional_checker(self):
+        _, engine = build_mission(1, fault_plan=_short_plan())
+        assert engine is not None and engine.checker is None
+        _, engine = build_mission(1, fault_plan=_short_plan().to_dict(),
+                                  check_invariants=True)
+        assert engine.checker is not None
+
+    def test_unknown_override_rejected_by_name(self):
+        with pytest.raises(ValueError, match="'solar_kw'"):
+            build_mission(0, {"solar_kw": 5.0})
 
 
 class TestEndToEnd:

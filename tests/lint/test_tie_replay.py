@@ -12,7 +12,6 @@ from repro.lint.findings import Severity
 from repro.lint.tie_replay import (
     DIVERGENCE_RULE,
     check_tie_robustness,
-    main,
     normalize_tie_order,
 )
 from repro.sim import Simulation
@@ -171,9 +170,3 @@ class TestCanonicalMission:
         report = check_tie_robustness(seed=0, days=1.0,
                                       policies=("fifo", "lifo", "shuffle:1"))
         assert report.robust, report.format()
-
-
-class TestMain:
-    def test_exit_zero_on_robust_mission(self, capsys):
-        assert main(["--days", "0.25", "--policies", "fifo,lifo"]) == 0
-        assert "tie replay OK" in capsys.readouterr().out

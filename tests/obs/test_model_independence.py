@@ -15,7 +15,7 @@ from pathlib import Path
 
 import pytest
 
-from repro.lint.determinism import build_mission
+from repro.faults import build_mission
 from repro.obs import Observability
 
 CHAOS_PLAN = (Path(__file__).resolve().parents[2]
@@ -46,7 +46,7 @@ def switch_observability(deployment, *, trace, bridge, provenance):
 def model_outcome(mission, trace, bridge, provenance):
     spec = MISSIONS[mission]
     plan = json.loads(CHAOS_PLAN.read_text()) if spec.get("plan") else None
-    deployment = build_mission(spec["seed"], fault_plan=plan)
+    deployment, _ = build_mission(spec["seed"], fault_plan=plan)
     switch_observability(deployment, trace=trace, bridge=bridge,
                          provenance=provenance)
     deployment.run_days(spec["days"])

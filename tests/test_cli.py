@@ -3,6 +3,14 @@
 import pytest
 
 from repro.cli import build_parser, main
+from repro.lint.determinism import main as determinism_main
+
+
+def run_entry(command):
+    """Run ``repro-sim <command>``, or another entry point given first."""
+    if callable(command[0]):
+        return command[0](command[1:])
+    return main(command)
 
 
 class TestParser:
@@ -232,11 +240,12 @@ class TestCliErrors:
         ["inject", "--days", "1"],
         ["races", "--days", "0.1"],
         ["sweep", "--days", "1", "--no-cache"],
+        [determinism_main, "--days", "0.1"],
     ])
     def test_missing_fault_plan_is_clean_error(self, tmp_path, capsys, command):
         missing = tmp_path / "no_such_plan.json"
         with pytest.raises(SystemExit) as excinfo:
-            main(command + ["--faults", str(missing)])
+            run_entry(command + ["--faults", str(missing)])
         assert excinfo.value.code == 2
         err = capsys.readouterr().err
         assert err.startswith("repro-sim: cannot load fault plan: ")
@@ -245,12 +254,13 @@ class TestCliErrors:
     @pytest.mark.parametrize("command", [
         ["inject", "--days", "1"],
         ["sweep", "--days", "1", "--no-cache"],
+        [determinism_main, "--days", "0.1"],
     ])
     def test_malformed_fault_plan_is_clean_error(self, tmp_path, capsys, command):
         plan = tmp_path / "plan.json"
         plan.write_text('{"name": "broken", "faults": [')
         with pytest.raises(SystemExit) as excinfo:
-            main(command + ["--faults", str(plan)])
+            run_entry(command + ["--faults", str(plan)])
         assert excinfo.value.code == 2
         assert "cannot load fault plan" in capsys.readouterr().err
 
@@ -262,9 +272,10 @@ class TestCliErrors:
         assert "cannot load alert rules" in capsys.readouterr().err
 
     def test_stations_floor_shares_one_message(self):
-        for command in (["simulate", "--days", "1"], ["sweep", "--days", "1"]):
+        for command in (["simulate", "--days", "1"], ["sweep", "--days", "1"],
+                        [determinism_main, "--days", "0.1"]):
             with pytest.raises(SystemExit) as excinfo:
-                main(command + ["--stations", "1"])
+                run_entry(command + ["--stations", "1"])
             assert str(excinfo.value) == (
                 "repro-sim: --stations must be >= 2 (base + reference)")
 
@@ -289,6 +300,54 @@ class TestCliErrors:
         with pytest.raises(SystemExit) as excinfo:
             main(["simulate", "--days", "1", "--alerts", str(rules)])
         assert "unknown type" in str(excinfo.value)
+
+
+class TestRacesCli:
+    def test_replay_alone_exits_zero_on_robust_mission(self, capsys):
+        assert main(["races", "--days", "0.25", "--paths",
+                     "--policies", "fifo,lifo"]) == 0
+        out = capsys.readouterr().out
+        assert "static race rules: 0 finding(s)" in out
+        assert "tie replay OK" in out
+
+    def test_batched_sync_reaches_the_replayed_mission(self, monkeypatch,
+                                                       capsys):
+        from repro.core.deployment import Deployment
+
+        configs = []
+        init = Deployment.__init__
+
+        def spy(self, config=None):
+            configs.append(config)
+            init(self, config)
+
+        monkeypatch.setattr(Deployment, "__init__", spy)
+        assert main(["races", "--days", "0.05", "--paths",
+                     "--policies", "fifo,lifo", "--batched-sync"]) == 0
+        capsys.readouterr()
+        assert len(configs) == 2
+        assert all(config.base.batched_sync for config in configs)
+
+
+class TestOneConvention:
+    def test_simulate_and_sweep_job_give_one_metric_snapshot(self, tmp_path,
+                                                             capsys):
+        """The CLI flags and the sweep's overrides name the same mission."""
+        from repro.fleet import SweepSpec
+        from repro.fleet.runner import run_job
+        from repro.obs.export import metrics_to_json
+        from repro.obs.metrics import MetricsRegistry
+
+        out = tmp_path / "m.json"
+        assert main(["simulate", "--seed", "3", "--days", "1",
+                     "--solar-w", "5", "--stations", "3",
+                     "--metrics-out", str(out)]) == 0
+        capsys.readouterr()
+        (job,) = SweepSpec(grid=[{"solar_w": 5.0, "extra_stations": 1}],
+                           seeds=[3], days=1.0).jobs()
+        snapshot = run_job(job)["metrics"]
+        assert out.read_text() == metrics_to_json(
+            MetricsRegistry.from_snapshot(snapshot))
 
 
 class TestMetricsFormat:
