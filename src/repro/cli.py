@@ -38,6 +38,17 @@ from repro.faults.harness import (
 from repro.server.archive import ScienceArchive
 
 
+def _positive_int(raw: str) -> int:
+    """argparse type: an integer >= 1."""
+    try:
+        value = int(raw)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {raw!r}")
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     """The CLI's argument parser."""
     parser = argparse.ArgumentParser(
@@ -125,10 +136,11 @@ def build_parser() -> argparse.ArgumentParser:
                        metavar="FIELD=V1,V2,...",
                        help="StationConfig field to sweep; repeatable — the "
                             "grid is the cartesian product of all --param")
-    sweep.add_argument("--jobs", type=int, default=1,
+    sweep.add_argument("--jobs", type=_positive_int, default=1,
                        help="worker processes (default: 1 = in-process)")
     sweep.add_argument("--cache-dir", default=".repro-sweep-cache",
-                       help="result cache directory (default: .repro-sweep-cache)")
+                       help="result cache directory (default: "
+                            ".repro-sweep-cache; unused with --work-dir)")
     sweep.add_argument("--no-cache", action="store_true",
                        help="ignore and do not write the result cache")
     sweep.add_argument("--output", metavar="FILE", default=None,
@@ -146,23 +158,20 @@ def build_parser() -> argparse.ArgumentParser:
                        help="write the streaming campaign metric rollup "
                             "(canonical JSON, byte-identical across --jobs "
                             "and cache states)")
-    sweep.add_argument("--backend", choices=("pool", "shared-dir"),
-                       default="pool",
-                       help="execution backend: 'pool' (local warm-worker "
-                            "pool, default) or 'shared-dir' (cooperatively "
-                            "drain a shared --work-dir with other hosts)")
-    sweep.add_argument("--chunk-size", type=int, default=None, metavar="N",
-                       help="jobs per worker batch (default: adaptive from "
-                            "measured run wall time; for shared-dir, the "
-                            "claim-block size fixed at campaign creation)")
+    sweep.add_argument("--chunk-size", type=_positive_int, default=None,
+                       metavar="N",
+                       help="jobs per chunk (default: adaptive from measured "
+                            "run wall time; with --work-dir, the claim-block "
+                            "size fixed at campaign creation, default 32)")
     sweep.add_argument("--work-dir", metavar="DIR", default=None,
-                       help="shared campaign directory (manifest + claims + "
-                            "cache); required by --backend shared-dir")
+                       help="drain a campaign directory (manifest + claims + "
+                            "cache) cooperatively with any other drainers "
+                            "sharing it, instead of sweeping locally")
     sweep.add_argument("--progress", action="store_true",
                        help="print a periodic runs/s progress line to stderr")
     sweep.add_argument("--stale-claim-s", type=float, default=None,
                        metavar="SECONDS",
-                       help="shared-dir only: steal another drainer's claim "
+                       help="--work-dir only: steal another drainer's claim "
                             "once this old if its block is still incomplete "
                             "(default: 300)")
     sweep.add_argument("--cache-gc", action="store_true",
@@ -559,23 +568,19 @@ def _cmd_sweep(args) -> int:
         if args.no_cache:
             raise SystemExit("--cache-gc and --no-cache are contradictory")
         gc_root = args.cache_dir
-        if args.backend == "shared-dir":
+        if args.work_dir:
             import os
 
             from repro.fleet.executor import CACHE_DIR
 
-            if not args.work_dir:
-                raise SystemExit("--backend shared-dir requires --work-dir")
             gc_root = os.path.join(args.work_dir, CACHE_DIR)
         report = SweepCache(gc_root).gc()
         print(report.format(), file=sys.stderr)
         return 0
     cache = None
-    if args.backend == "shared-dir":
-        if not args.work_dir:
-            raise SystemExit("--backend shared-dir requires --work-dir")
+    if args.work_dir:
         if args.no_cache:
-            raise SystemExit("--backend shared-dir needs the cache "
+            raise SystemExit("--work-dir needs the cache "
                              "(--no-cache is contradictory)")
     elif not args.no_cache:
         cache = SweepCache(args.cache_dir)
@@ -584,7 +589,7 @@ def _cmd_sweep(args) -> int:
         def progress(line: str) -> None:
             print(line, file=sys.stderr)
     result = run_sweep(spec, jobs=args.jobs, cache=cache,
-                       backend=args.backend, chunk_size=args.chunk_size,
+                       chunk_size=args.chunk_size,
                        work_dir=args.work_dir, progress=progress,
                        stale_claim_s=args.stale_claim_s)
     text = sweep_to_json(result)

@@ -92,10 +92,6 @@ class GlacierModel:
             self._probe_cache[probe_id] = cached
         return cached
 
-    def _probe_gain(self, probe_id: int) -> float:
-        """Per-probe sensitivity of conductivity to melt, stable per id."""
-        return self._probe_terms(probe_id)[0]
-
     def conductivity_us(self, time: float, probe_id: int = 0) -> float:
         """Basal electrical conductivity at one probe, in µS (Fig 6 signal)."""
         cfg = self.config

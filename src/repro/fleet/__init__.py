@@ -5,24 +5,25 @@ run across a grid of station configurations and seeds.  Each run is
 deterministic given ``(config, seed)``, so its summary is a pure function
 of its inputs — which makes three things cheap:
 
-- **parallelism**: runs share nothing, so warm pool workers drain them
-  in adaptively-sized chunks behind a bounded in-flight window
+- **parallelism**: runs share nothing, so one chunk loop drains them
+  in adaptively-sized chunks — in-process for ``jobs=1``, else on warm
+  pool workers behind a bounded in-flight window
   (:func:`repro.fleet.runner.run_sweep`,
-  :mod:`repro.fleet.executor`);
+  :func:`repro.fleet.executor.run_chunks`);
 - **caching**: a finished run's summary is stored under a digest of
   ``(config overrides, days, seed, package version)`` — atomically, by
   whichever process computed it — and re-used by any later sweep
   containing the same point (:class:`repro.fleet.cache.SweepCache`);
 - **work sharing**: because completion is just "the cache entry exists",
   several hosts can drain one campaign cooperatively and resumably over
-  a shared work directory (``backend="shared-dir"``).
+  a shared work directory (``run_sweep(..., work_dir=DIR)``).
 
 Merged sweep output is ordered by ``(config digest, fault plan, seed)``
 — never by completion order — so a sweep's JSON is byte-identical
-regardless of worker count, chunk size, backend, or cache state.
+regardless of worker count, chunk size, work dir, or cache state.
 
-The runner also maintains a streaming campaign rollup: workers fold
-their chunk's metric snapshots into a local
+The runner also maintains a streaming campaign rollup: chunks fold
+their metric snapshots into a local
 :class:`~repro.obs.rollup.RollupAggregate` and ship one lossless partial
 per chunk (stripped from run records), so the campaign-level metric view
 costs O(metric families), not O(runs) — see ``docs/telemetry_rollup.md``.

@@ -1,39 +1,37 @@
-"""Scale-out sweep execution: chunked warm workers and shared-dir draining.
+"""Scale-out sweep execution: one chunk loop, local or over a work dir.
 
-``repro.fleet.runner`` used to submit one pool future per job and funnel
-every cache read/write and rollup fold through the parent process.  Once
-runs are milliseconds that parent-side work is pure Amdahl overhead —
-the workers idle while the parent pickles snapshots, writes cache
-entries, and folds registries one run at a time.  This module inverts
-the shape:
+Every sweep miss, on every path, is computed by :func:`run_chunk` and
+dispatched by the one chunk loop :func:`run_chunks`:
 
-- **Chunked dispatch** — jobs ship to workers in batches, amortising the
+- **Chunked dispatch** — jobs run in batches, amortising the
   pickle/IPC/scheduling cost per chunk.  Chunk size adapts to measured
-  run wall time (:class:`ChunkSizer`) and the submit loop keeps a
-  bounded in-flight window instead of materialising every future up
-  front, so a million-job campaign holds O(window) futures and a kill
-  leaves a cleanly resumable cache.
-- **Worker-side cache I/O** — :func:`run_chunk` loads and atomically
-  stores cache entries inside the worker (the ``os.replace`` layout is
-  concurrency-safe), so summaries never round-trip through the parent
-  just to reach disk.
-- **Partial-rollup shipping** — each worker folds its chunk's metric
-  snapshots into a local :class:`~repro.obs.rollup.RollupAggregate` and
-  returns one lossless partial (raw Shewchuk partials, see
+  run wall time (:class:`ChunkSizer`).  With one worker the chunks run
+  in-process, in order, and no pool opens; with more, the loop keeps a
+  bounded window of in-flight futures over a lazy chunk stream instead
+  of materialising every future up front, so a million-job campaign
+  holds O(window) futures and a kill leaves a cleanly resumable cache.
+- **Chunk-side cache I/O** — :func:`run_chunk` loads and atomically
+  stores cache entries wherever the chunk runs (the ``os.replace``
+  layout is concurrency-safe), so summaries never round-trip through
+  the parent just to reach disk.
+- **Partial-rollup shipping** — each chunk folds its metric snapshots
+  into a local :class:`~repro.obs.rollup.RollupAggregate` and returns
+  one lossless partial (raw Shewchuk partials, see
   ``rollup.to_partial_doc``) plus metric-stripped run records.  The
   parent's fold cost collapses from O(runs) registry folds to O(chunks)
   partial merges, and per-run IPC payloads shrink by an order of
   magnitude.
-- **Shared-dir work sharing** — a campaign manifest plus an atomic
-  claim-file protocol over a shared directory lets several hosts drain
-  one sweep cooperatively and resumably (:func:`drain_shared_dir`).
-  Claims are an *optimisation*, not a lock: results are deterministic
-  and cache stores are atomic, so the rare double-computed block is
-  harmless.
+- **Work-dir draining** — a campaign manifest plus an atomic claim-file
+  protocol over a shared directory lets several hosts drain one sweep
+  cooperatively and resumably (:func:`drain_shared_dir`, a claim loop
+  over :func:`run_chunks`).  Claims are an *optimisation*, not a lock:
+  results are deterministic and cache stores are atomic, so the rare
+  double-computed block is harmless.
 
-Byte-identical sweep output across ``--jobs``, chunk sizes, backends,
-and completion order stays the hard contract; every path funnels through
-the same record builder and exact, order-independent rollup folds.
+Byte-identical sweep output across ``--jobs``, chunk sizes, work dirs
+and completion order stays the hard contract; every path funnels
+through the same record builder and exact, order-independent rollup
+folds.
 """
 
 from __future__ import annotations
@@ -67,6 +65,8 @@ DEFAULT_BLOCK_SIZE = 32
 #: A claim older than this whose block is still incomplete is presumed
 #: abandoned (killed drainer) and may be stolen.
 DEFAULT_STALE_CLAIM_S = 300.0
+#: How long a drainer waits before rescanning blocks other drainers hold.
+POLL_S = 0.2
 
 MANIFEST_NAME = "manifest.json"
 CLAIMS_DIR = "claims"
@@ -146,12 +146,10 @@ class ChunkSizer:
     partition-independent by construction.
     """
 
-    def __init__(self, fixed: Optional[int] = None,
-                 target_s: float = CHUNK_TARGET_S) -> None:
+    def __init__(self, fixed: Optional[int] = None) -> None:
         if fixed is not None and fixed < 1:
             raise ValueError(f"chunk size must be >= 1, got {fixed}")
         self.fixed = fixed
-        self.target_s = target_s
         self._per_run_s: Optional[float] = None
 
     def size(self) -> int:
@@ -162,7 +160,7 @@ class ChunkSizer:
             return CHUNK_MIN
         if self._per_run_s <= 0.0:
             return CHUNK_MAX
-        want = int(self.target_s / self._per_run_s)
+        want = int(CHUNK_TARGET_S / self._per_run_s)
         return max(CHUNK_MIN, min(CHUNK_MAX, want))
 
     def observe(self, runs: int, wall_s: float) -> None:
@@ -186,55 +184,52 @@ def iter_chunks(jobs: Iterable[Any], sizer: ChunkSizer) -> Iterator[List[Any]]:
         yield chunk
 
 
-def run_chunked_pool(
-    pending: Iterable[Any],
+def run_chunks(
+    chunks: Iterable[List[Any]],
     *,
     workers: int,
     cache_root: Optional[str],
     absorb: Callable[[Dict[str, Any]], None],
     collect_rollup: bool = True,
-    chunk_size: Optional[int] = None,
-    window: Optional[int] = None,
-    pool_factory: Callable[..., Any] = ProcessPoolExecutor,
+    pool_factory: Optional[Callable[..., Any]] = None,
 ) -> None:
-    """Drain ``pending`` through warm pool workers in bounded chunks.
+    """Run every chunk through :func:`run_chunk` and ``absorb`` its result.
 
-    At most ``window`` (default ``2 * workers``) chunk futures exist at
-    any moment — the job stream is consumed lazily, so memory is
-    O(window x chunk), not O(jobs), and an interrupt abandons only the
-    in-flight chunks (everything stored so far is already in the cache).
-    ``absorb`` runs in the parent for each completed chunk, in completion
-    order; output determinism comes from the merge keys, not arrival.
+    With ``workers <= 1`` each chunk runs in-process, in order, and no
+    pool opens.  Otherwise at most ``2 * workers`` chunk futures exist at
+    any moment over warm pool workers (``pool_factory``, default
+    :class:`~concurrent.futures.ProcessPoolExecutor`) — ``chunks`` is
+    consumed lazily, so memory is O(window x chunk), not O(jobs), and an
+    interrupt abandons only the in-flight chunks (everything stored so
+    far is already in the cache).  ``absorb`` runs in the parent for each
+    completed chunk, in completion order; output determinism comes from
+    the merge keys, not arrival.
     """
-    sizer = ChunkSizer(chunk_size)
-    if window is None:
-        window = 2 * workers
-    window = max(1, window)
-    chunks = iter_chunks(pending, sizer)
-    in_flight: Dict[Any, int] = {}
-    with pool_factory(max_workers=workers, initializer=_warm_worker) as pool:
+    chunks = iter(chunks)
+    if workers <= 1:
+        for chunk in chunks:
+            absorb(run_chunk(chunk, cache_root, collect_rollup))
+        return
+    window = 2 * workers
+    in_flight: set = set()
+    factory = pool_factory or ProcessPoolExecutor
+    with factory(max_workers=workers, initializer=_warm_worker) as pool:
         def fill() -> None:
-            while len(in_flight) < window:
-                chunk = next(chunks, None)
-                if chunk is None:
-                    return
-                future = pool.submit(run_chunk, chunk, cache_root,
-                                     collect_rollup)
-                in_flight[future] = len(chunk)
+            for chunk in itertools.islice(chunks, window - len(in_flight)):
+                in_flight.add(pool.submit(run_chunk, chunk, cache_root,
+                                          collect_rollup))
 
         fill()
         while in_flight:
-            done, _ = wait(set(in_flight), return_when=FIRST_COMPLETED)
+            done, _ = wait(in_flight, return_when=FIRST_COMPLETED)
+            in_flight.difference_update(done)
             for future in done:
-                runs = in_flight.pop(future)
-                out = future.result()
-                sizer.observe(runs, out.get("wall_s", 0.0))
-                absorb(out)
+                absorb(future.result())
             fill()
 
 
 # ----------------------------------------------------------------------
-# Shared-dir backend: manifest + claim files over one directory
+# Work-dir draining: manifest + claim files over one directory
 # ----------------------------------------------------------------------
 def manifest_doc(spec: Any, block_size: int = DEFAULT_BLOCK_SIZE) -> Dict[str, Any]:
     """The canonical manifest document for ``spec``.
@@ -273,8 +268,10 @@ def ensure_manifest(work_dir: str, spec: Any,
     manifest — including its claim-block size, which is fixed at
     campaign creation so every drainer cuts identical blocks.  A
     different spec raises: one work directory hosts exactly one
-    campaign.
+    campaign.  A ``block_size`` below 1 raises before anything is written.
     """
+    if block_size < 1:
+        raise ValueError(f"claim-block size must be >= 1, got {block_size}")
     os.makedirs(os.path.join(work_dir, CLAIMS_DIR), exist_ok=True)
     os.makedirs(os.path.join(work_dir, CACHE_DIR), exist_ok=True)
     path = os.path.join(work_dir, MANIFEST_NAME)
@@ -305,6 +302,10 @@ def load_manifest(work_dir: str) -> Dict[str, Any]:
         raise ValueError(
             f"manifest was written by repro {doc.get('repro_version')!r}, "
             f"this is {_repro_version()!r} — start a fresh campaign dir")
+    if not isinstance(doc.get("block_size"), int) or doc["block_size"] < 1:
+        raise ValueError(
+            f"manifest {path} has block_size {doc.get('block_size')!r}; it "
+            f"must be an integer >= 1 — start a fresh campaign dir")
     return doc
 
 
@@ -376,20 +377,19 @@ def drain_shared_dir(
     work_dir: str,
     *,
     workers: int = 1,
-    chunk_size: Optional[int] = None,
-    stale_claim_s: float = DEFAULT_STALE_CLAIM_S,
-    poll_s: float = 0.2,
+    stale_claim_s: Optional[float] = None,
     collect_rollup: bool = True,
     absorb: Optional[Callable[[Dict[str, Any]], None]] = None,
-    pool_factory: Callable[..., Any] = ProcessPoolExecutor,
-    owner: Optional[str] = None,
+    pool_factory: Optional[Callable[..., Any]] = None,
 ) -> List[Any]:
     """Cooperatively drain the campaign under ``work_dir`` to completion.
 
-    Walks the manifest's claim blocks, claims and runs the incomplete
-    ones (through a local warm-worker pool when ``workers > 1``), and
-    polls blocks held by other drainers until every job's cache entry
-    exists.  Safe to run concurrently on any number of hosts sharing the
+    Each pass feeds :func:`run_chunks` a lazy stream of the manifest's
+    incomplete claim blocks that this drainer wins, then rescans after
+    :data:`POLL_S` until every job's cache entry exists — blocks held by
+    other drainers land in the cache or go stale (older than
+    ``stale_claim_s``, default :data:`DEFAULT_STALE_CLAIM_S`) and are
+    stolen.  Safe to run concurrently on any number of hosts sharing the
     directory, and safe to kill and re-run: completed work is judged
     purely by cache presence.
 
@@ -398,81 +398,35 @@ def drain_shared_dir(
     Returns the full deterministic job list so the caller can assemble
     the sweep from the shared cache.
     """
-    doc = load_manifest(work_dir)
-    spec = manifest_spec(doc)
-    block_size = int(doc["block_size"])
-    jobs = spec.jobs()
-    cache_root = os.path.join(work_dir, CACHE_DIR)
-    cache = SweepCache(cache_root)
-    if owner is None:
-        import socket
-
-        owner = f"{socket.gethostname()}:{os.getpid()}"
-    claims = ClaimStore(work_dir, owner, stale_after_s=stale_claim_s)
-    blocks = [jobs[i:i + block_size] for i in range(0, len(jobs), block_size)]
-    done: set = set()
-    claimed_by_us: set = set()
-    in_flight: Dict[Any, int] = {}
-    window = max(1, 2 * workers)
-    pool = pool_factory(max_workers=workers, initializer=_warm_worker) \
-        if workers > 1 else None
-
-    def block_complete(index: int) -> bool:
-        if index in done:
-            return True
-        if all(cache.contains(job.digest) for job in blocks[index]):
-            done.add(index)
-            return True
-        return False
-
-    def absorb_future(future: Any, index: int) -> None:
-        out = future.result()
-        if absorb is not None:
-            absorb(out)
-        done.add(index)
-
+    import socket
     import time
 
-    try:
-        while True:
-            progressed = False
-            if pool is not None and in_flight:
-                finished, _ = wait(set(in_flight), timeout=0.0)
-                for future in finished:
-                    absorb_future(future, in_flight.pop(future))
-                    progressed = True
-            for index in range(len(blocks)):
-                if pool is not None and len(in_flight) >= window:
-                    break
-                if index in claimed_by_us or block_complete(index):
-                    continue
-                if not claims.try_claim(index):
-                    continue
-                claimed_by_us.add(index)
-                if pool is not None:
-                    future = pool.submit(run_chunk, blocks[index], cache_root,
-                                         collect_rollup)
-                    in_flight[future] = index
-                else:
-                    out = run_chunk(blocks[index], cache_root, collect_rollup)
-                    if absorb is not None:
-                        absorb(out)
-                    done.add(index)
-                progressed = True
-            if len(done) == len(blocks) and not in_flight:
-                break
-            if not progressed:
-                if in_flight:
-                    finished, _ = wait(set(in_flight),
-                                       return_when=FIRST_COMPLETED)
-                    for future in finished:
-                        absorb_future(future, in_flight.pop(future))
-                else:
-                    # Every incomplete block is claimed by a live drainer
-                    # elsewhere; wait for its cache entries to land (or
-                    # for the claim to go stale and become stealable).
-                    time.sleep(poll_s)
-    finally:
-        if pool is not None:
-            pool.shutdown(wait=True, cancel_futures=True)
-    return jobs
+    doc = load_manifest(work_dir)
+    jobs = manifest_spec(doc).jobs()
+    block_size = doc["block_size"]
+    blocks = [jobs[i:i + block_size] for i in range(0, len(jobs), block_size)]
+    cache_root = os.path.join(work_dir, CACHE_DIR)
+    cache = SweepCache(cache_root)
+    claims = ClaimStore(
+        work_dir, f"{socket.gethostname()}:{os.getpid()}",
+        stale_after_s=(DEFAULT_STALE_CLAIM_S if stale_claim_s is None
+                       else stale_claim_s))
+
+    def complete(block: List[Any]) -> bool:
+        return all(cache.contains(job.digest) for job in block)
+
+    def claimable() -> Iterator[List[Any]]:
+        for index, block in enumerate(blocks):
+            if not complete(block) and claims.try_claim(index):
+                yield block
+
+    while True:
+        run_chunks(claimable(), workers=workers, cache_root=cache_root,
+                   absorb=absorb or (lambda out: None),
+                   collect_rollup=collect_rollup, pool_factory=pool_factory)
+        if all(complete(block) for block in blocks):
+            return jobs
+        # Every incomplete block is claimed by a live drainer elsewhere;
+        # wait for its cache entries to land (or for the claim to go
+        # stale and become stealable).
+        time.sleep(POLL_S)

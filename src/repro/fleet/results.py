@@ -26,29 +26,23 @@ class SweepResult:
     the JSON — they vary between invocations of the identical sweep.
     ``rollup`` is the streaming campaign aggregate
     (:class:`repro.obs.rollup.RollupAggregate`) the runner folds metric
-    snapshots into as futures complete; it has its own canonical JSON
+    snapshots into as chunks complete; it has its own canonical JSON
     (``--rollup-out``) and never enters the sweep JSON.
 
     The executor-accounting fields quantify the scale-out engine and
     back the sweep-scale benchmark's deterministic gates; like the cache
     counters they never enter the sweep JSON.  ``chunks_dispatched``
-    counts worker batches; ``parent_folds`` counts parent-side rollup
-    fold operations (per-run in the legacy engine, per-chunk partial
-    merges in the chunked one); ``ipc_payload_bytes`` totals the
-    canonical-JSON size of what actually crossed the worker→parent
-    boundary.  ``telemetry`` is a parent-side
-    :class:`~repro.obs.metrics.MetricsRegistry` holding the sweep's own
-    observability counters (``sweep_chunks_dispatched_total``,
-    ``sweep_worker_cache_hits_total{where=worker|parent}``) — about the
-    sweep machinery, deliberately separate from the simulated-world
-    rollup.
+    counts completed chunks, in-process or on a worker;
+    ``parent_folds`` counts parent-side rollup fold operations (one per
+    run loaded in the parent, one partial merge per chunk);
+    ``ipc_payload_bytes`` totals the canonical-JSON size of each chunk's
+    payload, wherever the chunk ran.
     """
 
     runs: List[Dict[str, Any]] = field(default_factory=list)
     cache_hits: int = 0
     cache_misses: int = 0
     rollup: Optional[Any] = None
-    telemetry: Optional[Any] = None
     chunks_dispatched: int = 0
     parent_folds: int = 0
     ipc_payload_bytes: int = 0

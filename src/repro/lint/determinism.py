@@ -33,23 +33,18 @@ def record_canonical(record: TraceRecord) -> str:
     return f"{record.time:.9f}|{record.source}|{record.kind}|{detail}"
 
 
-def trace_digest(records: Iterable[TraceRecord]) -> str:
-    """SHA-256 over the canonical rendering of every record, in order."""
-    digest = hashlib.sha256()
-    for record in records:
-        digest.update(record_canonical(record).encode())
-        digest.update(b"\n")
-    return digest.hexdigest()
-
-
 def lines_digest(lines: Iterable[str]) -> str:
-    """SHA-256 over pre-rendered canonical lines (tie_replay feeds these
-    after normalising same-timestamp groups)."""
+    """SHA-256 over pre-rendered canonical lines, in order."""
     digest = hashlib.sha256()
     for line in lines:
         digest.update(line.encode())
         digest.update(b"\n")
     return digest.hexdigest()
+
+
+def trace_digest(records: Iterable[TraceRecord]) -> str:
+    """SHA-256 over the canonical rendering of every record, in order."""
+    return lines_digest(record_canonical(record) for record in records)
 
 
 def run_mission(seed: int, days: float,
@@ -72,7 +67,7 @@ def run_mission(seed: int, days: float,
                                   fault_plan=fault_plan)
     deployment.run_days(days)
     lines = [record_canonical(r) for r in deployment.sim.trace.records]
-    return trace_digest(deployment.sim.trace.records), lines
+    return lines_digest(lines), lines
 
 
 @dataclass(frozen=True)

@@ -31,11 +31,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
-from repro.lint.determinism import (
-    lines_digest,
-    record_canonical,
-    trace_digest,
-)
+from repro.lint.determinism import lines_digest, record_canonical
 from repro.lint.findings import Finding, Severity
 
 #: Rule id carried by dynamic-prong findings.
@@ -173,11 +169,10 @@ def _run_policy(factory: MissionFactory, policy: str,
                 days: float) -> Tuple[PolicyRun, List[str]]:
     mission = factory(policy)
     mission.run_days(days)
-    records = mission.sim.trace.records
-    lines = [record_canonical(record) for record in records]
+    lines = [record_canonical(record) for record in mission.sim.trace.records]
     return PolicyRun(
         policy=policy,
-        digest=trace_digest(records),
+        digest=lines_digest(lines),
         normalized_digest=lines_digest(normalize_tie_order(lines)),
         records=len(lines),
     ), lines

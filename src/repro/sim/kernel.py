@@ -415,66 +415,40 @@ class Simulation:
         pop = heappop
         processed = 0
         batches = 0
+        limit = _INF if until is None else until
         try:
-            if until is None:
-                while queue and not self._stopped:
-                    when, _seq, event = pop(queue)
-                    clock._now = when  # heap order keeps this monotonic
-                    batches += 1
-                    hook = self._kernel_hook
-                    if hook is None:
-                        while True:
-                            processed += 1
-                            # Event._run_callbacks, inlined: one Python call
-                            # per event is the difference between the fast
-                            # path and a ~15% slower kernel.
-                            callbacks = event._callbacks
-                            event._callbacks = None
-                            for callback in callbacks:
-                                callback(event)
-                            exc = event._exception
-                            if exc is not None and not event._defused:
-                                raise exc
-                            if self._stopped or not queue or queue[0][0] != when:
-                                break
-                            _when, _seq, event = pop(queue)
-                    else:
+            while queue and not self._stopped:
+                if queue[0][0] > limit:
+                    break
+                when, _seq, event = pop(queue)
+                clock._now = when  # heap order keeps this monotonic
+                batches += 1
+                hook = self._kernel_hook
+                if hook is None:
+                    # Group members share `when`, so one limit-check at
+                    # the head covers the whole drain.
+                    while True:
+                        processed += 1
+                        # Event._run_callbacks, inlined: one Python call
+                        # per event is the difference between the fast
+                        # path and a ~15% slower kernel.
+                        callbacks = event._callbacks
+                        event._callbacks = None
+                        for callback in callbacks:
+                            callback(event)
+                        exc = event._exception
+                        if exc is not None and not event._defused:
+                            raise exc
+                        if self._stopped or not queue or queue[0][0] != when:
+                            break
+                        _when, _seq, event = pop(queue)
+                else:
+                    processed += 1
+                    hook(event, when, len(queue), event._run_callbacks)
+                    while not self._stopped and queue and queue[0][0] == when:
+                        _when, _seq, event = pop(queue)
                         processed += 1
                         hook(event, when, len(queue), event._run_callbacks)
-                        while not self._stopped and queue and queue[0][0] == when:
-                            _when, _seq, event = pop(queue)
-                            processed += 1
-                            hook(event, when, len(queue), event._run_callbacks)
-            else:
-                while queue and not self._stopped:
-                    if queue[0][0] > until:
-                        break
-                    when, _seq, event = pop(queue)
-                    clock._now = when
-                    batches += 1
-                    hook = self._kernel_hook
-                    if hook is None:
-                        # Group members share `when`, so one until-check at
-                        # the head covers the whole drain.
-                        while True:
-                            processed += 1
-                            callbacks = event._callbacks
-                            event._callbacks = None
-                            for callback in callbacks:
-                                callback(event)
-                            exc = event._exception
-                            if exc is not None and not event._defused:
-                                raise exc
-                            if self._stopped or not queue or queue[0][0] != when:
-                                break
-                            _when, _seq, event = pop(queue)
-                    else:
-                        processed += 1
-                        hook(event, when, len(queue), event._run_callbacks)
-                        while not self._stopped and queue and queue[0][0] == when:
-                            _when, _seq, event = pop(queue)
-                            processed += 1
-                            hook(event, when, len(queue), event._run_callbacks)
         except StopSimulation:
             return
         finally:

@@ -1,4 +1,4 @@
-"""Executor unit tests: chunks, adaptive sizing, the bounded window."""
+"""Executor unit tests: chunks, adaptive sizing, the one chunk loop."""
 
 from concurrent.futures import Future
 
@@ -11,7 +11,7 @@ from repro.fleet.executor import (
     ChunkSizer,
     iter_chunks,
     run_chunk,
-    run_chunked_pool,
+    run_chunks,
 )
 
 
@@ -77,15 +77,15 @@ class TestChunkSizer:
         assert ChunkSizer().size() == CHUNK_MIN
 
     def test_adaptive_targets_wall_time(self):
-        sizer = ChunkSizer(target_s=0.5)
+        sizer = ChunkSizer()
         sizer.observe(1, 0.01)  # 10 ms/run -> 50 runs/chunk
         assert sizer.size() == 50
 
     def test_adaptive_clamps_both_ends(self):
-        fast = ChunkSizer(target_s=0.5)
+        fast = ChunkSizer()
         fast.observe(1000, 0.000001)
         assert fast.size() == CHUNK_MAX
-        slow = ChunkSizer(target_s=0.5)
+        slow = ChunkSizer()
         slow.observe(1, 60.0)
         assert slow.size() == CHUNK_MIN
 
@@ -138,10 +138,14 @@ class FakePool:
         return False
 
 
-class TestRunChunkedPool:
+def fixed_chunks(items, size):
+    return iter_chunks(items, ChunkSizer(fixed=size))
+
+
+class TestRunChunks:
     def test_window_bounds_submissions_and_job_pulls(self):
         total = 100
-        window = 4
+        window = 4  # 2 * workers
         pool = FakePool(2)
         pulled = 0
 
@@ -156,9 +160,8 @@ class TestRunChunkedPool:
         def absorb(out):
             submitted_at_absorb.append(len(pool.submitted_sizes))
 
-        run_chunked_pool(jobs(), workers=2, cache_root=None, absorb=absorb,
-                         chunk_size=1, window=window,
-                         pool_factory=lambda **kw: pool)
+        run_chunks(fixed_chunks(jobs(), 1), workers=2, cache_root=None,
+                   absorb=absorb, pool_factory=lambda **kw: pool)
         assert sum(pool.submitted_sizes) == total
         # When the (i+1)-th chunk is absorbed at most window + i chunks
         # can ever have been cut — the bounded-window property that keeps
@@ -171,9 +174,12 @@ class TestRunChunkedPool:
         # 10 ms/run against a 0.5 s target -> chunks of ~50 once the
         # first calibration probes report back.
         pool = FakePool(2, per_run_s=0.01)
-        run_chunked_pool(iter(range(200)), workers=2, cache_root=None,
-                         absorb=lambda out: None,
-                         pool_factory=lambda **kw: pool)
+        sizer = ChunkSizer()
+        run_chunks(iter_chunks(iter(range(200)), sizer), workers=2,
+                   cache_root=None,
+                   absorb=lambda out: sizer.observe(len(out["records"]),
+                                                    out["wall_s"]),
+                   pool_factory=lambda **kw: pool)
         assert pool.submitted_sizes[0] == CHUNK_MIN
         assert max(pool.submitted_sizes) == 50
         assert sum(pool.submitted_sizes) == 200
@@ -181,14 +187,26 @@ class TestRunChunkedPool:
     def test_absorb_sees_every_chunk(self):
         pool = FakePool(3)
         outs = []
-        run_chunked_pool(iter(range(10)), workers=3, cache_root=None,
-                         absorb=outs.append, chunk_size=4,
-                         pool_factory=lambda **kw: pool)
+        run_chunks(fixed_chunks(iter(range(10)), 4), workers=3,
+                   cache_root=None, absorb=outs.append,
+                   pool_factory=lambda **kw: pool)
         assert sorted(len(o["records"]) for o in outs) == [2, 4, 4]
 
     def test_empty_pending_never_opens_chunks(self):
         pool = FakePool(2)
-        run_chunked_pool(iter(()), workers=2, cache_root=None,
-                         absorb=lambda out: None,
-                         pool_factory=lambda **kw: pool)
+        run_chunks(fixed_chunks(iter(()), 1), workers=2, cache_root=None,
+                   absorb=lambda out: None,
+                   pool_factory=lambda **kw: pool)
         assert pool.submitted_sizes == []
+
+    def test_one_worker_runs_in_process_in_order(self):
+        def no_pool(**kw):
+            raise AssertionError("workers=1 must not open a pool")
+
+        jobs = small_jobs(seeds=(0,))
+        chunks = [jobs[:1], jobs[1:]]
+        outs = []
+        run_chunks(iter(chunks), workers=1, cache_root=None,
+                   absorb=outs.append, pool_factory=no_pool)
+        assert [o["records"] for o in outs] == \
+            [run_chunk(chunk, None)["records"] for chunk in chunks]

@@ -279,12 +279,29 @@ class TestCliErrors:
             assert str(excinfo.value) == (
                 "repro-sim: --stations must be >= 2 (base + reference)")
 
-    def test_retired_mode_flags_rejected(self, capsys):
-        for flag, value in (("--energy-mode", "fixed"),
-                            ("--comms-mode", "chunked"),
-                            ("--energy-step-s", "60")):
+    @pytest.mark.parametrize("flag,value", [
+        ("--jobs", "0"), ("--jobs", "-1"),
+        ("--chunk-size", "0"), ("--chunk-size", "-2"),
+    ])
+    def test_sweep_non_positive_counts_exit_2(self, tmp_path, capsys,
+                                              monkeypatch, flag, value):
+        monkeypatch.chdir(tmp_path)
+        for place in ([], ["--work-dir", str(tmp_path / "wd")]):
             with pytest.raises(SystemExit) as excinfo:
-                main(["simulate", "--days", "1", flag, value])
+                main(["sweep", "--days", "0.25", *place, flag, value])
+            assert excinfo.value.code == 2
+            err = capsys.readouterr().err
+            assert f"argument {flag}: must be >= 1, got {value}" in err
+            assert "Traceback" not in err
+        assert not (tmp_path / "wd").exists()
+
+    def test_retired_mode_flags_rejected(self, capsys):
+        for command, flag, value in (("simulate", "--energy-mode", "fixed"),
+                                     ("simulate", "--comms-mode", "chunked"),
+                                     ("simulate", "--energy-step-s", "60"),
+                                     ("sweep", "--backend", "shared-dir")):
+            with pytest.raises(SystemExit) as excinfo:
+                main([command, "--days", "1", flag, value])
             assert excinfo.value.code == 2
             assert "unrecognized arguments" in capsys.readouterr().err
 
@@ -460,3 +477,32 @@ class TestRollupCli:
     def test_unreadable_shard_exits_2(self, tmp_path, capsys):
         assert main(["rollup", str(tmp_path / "nope.json")]) == 2
         assert "cannot read rollup shard" in capsys.readouterr().err
+
+
+class TestSweepWorkDirCli:
+    SWEEP = ["sweep", "--days", "0.25", "--seeds", "0,1",
+             "--param", "solar_w=5,10"]
+
+    def test_work_dir_alone_selects_the_work_dir_engine(self, tmp_path,
+                                                        capsys, monkeypatch):
+        import json
+
+        monkeypatch.chdir(tmp_path)
+        work_dir = tmp_path / "wd"
+        ref, out = tmp_path / "ref.json", tmp_path / "out.json"
+        assert main(self.SWEEP + ["--no-cache", "--output", str(ref)]) == 0
+        assert main(self.SWEEP + ["--work-dir", str(work_dir),
+                                  "--output", str(out)]) == 0
+        assert (work_dir / "manifest.json").is_file()
+        assert out.read_text() == ref.read_text()
+        assert not (tmp_path / ".repro-sweep-cache").exists()
+
+        stale = work_dir / "cache" / "bb" / ("b" * 64 + ".json")
+        stale.parent.mkdir(exist_ok=True)
+        stale.write_text(json.dumps({"v": "0.0.0-old", "summary": {}}))
+        capsys.readouterr()
+        assert main(["sweep", "--cache-gc", "--work-dir", str(work_dir)]) == 0
+        err = capsys.readouterr().err
+        assert "removed 1 stale entry" in err
+        assert "kept 4 current entries" in err
+        assert not stale.exists()
