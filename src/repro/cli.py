@@ -12,8 +12,9 @@ Usage::
     repro-sim sweep --days 7 --seeds 0,1 --rollup-out rollup.json \\
         --alerts examples/alerts/mission_slo.json
     repro-sim rollup shard_a.json shard_b.json --table
-    repro-sim lint src/repro --check-determinism
+    repro-sim lint src/repro
     repro-sim races --days 45 --faults examples/faults/canonical_chaos.json
+    repro-sim races --days 0.5 --policies fifo,fifo --paths
 
 (Equivalently ``python -m repro.cli ...``.  ``repro-sim lint`` forwards to
 the ``repro-lint`` static-analysis gate; see :mod:`repro.lint`.)
@@ -205,7 +206,7 @@ def build_parser() -> argparse.ArgumentParser:
     races = sub.add_parser(
         "races",
         help="event-ordering race check: static tie-sensitivity lint plus "
-             "perturbed-tie replay",
+             "mission replay (perturbed ties, or same-seed with fifo,fifo)",
     )
     races.add_argument("--days", type=float, default=45.0,
                        help="replay length in simulated days (default: 45)")
@@ -214,7 +215,8 @@ def build_parser() -> argparse.ArgumentParser:
     races.add_argument("--policies", default="fifo,shuffle:1",
                        metavar="P1,P2,...",
                        help="tie-break policies; the first is the replay "
-                            "baseline (default: %(default)s)")
+                            "baseline, and a repeat of it is compared byte "
+                            "for byte (default: %(default)s)")
     races.add_argument("--paths", nargs="*", default=["src/repro"],
                        help="paths the static race rules lint (default: "
                             "src/repro; none = the replay alone)")
@@ -529,7 +531,14 @@ def _parse_param_value(raw: str):
 
 
 def _cmd_sweep(args) -> int:
-    from repro.fleet import SweepCache, SweepSpec, expand_grid, run_sweep, sweep_to_json
+    from repro.fleet import (
+        SweepCache,
+        SweepInputError,
+        SweepSpec,
+        expand_grid,
+        run_sweep,
+        sweep_to_json,
+    )
 
     params = {}
     for spec_arg in args.param:
@@ -588,10 +597,14 @@ def _cmd_sweep(args) -> int:
     if args.progress:
         def progress(line: str) -> None:
             print(line, file=sys.stderr)
-    result = run_sweep(spec, jobs=args.jobs, cache=cache,
-                       chunk_size=args.chunk_size,
-                       work_dir=args.work_dir, progress=progress,
-                       stale_claim_s=args.stale_claim_s)
+    try:
+        result = run_sweep(spec, jobs=args.jobs, cache=cache,
+                           chunk_size=args.chunk_size,
+                           work_dir=args.work_dir, progress=progress,
+                           stale_claim_s=args.stale_claim_s)
+    except SweepInputError as exc:
+        print(f"repro-sim: {exc}", file=sys.stderr)
+        return 2
     text = sweep_to_json(result)
     code = 0
     if args.output:
@@ -645,25 +658,25 @@ def _cmd_races(args) -> int:
     """Two-pronged event-ordering race check.
 
     Static prong: the three tie-sensitivity rules over ``--paths``.
-    Dynamic prong: the mission replayed once per ``--policies`` entry,
-    normalized trace digests diffed against the first (baseline) policy,
-    divergences bisected to the offending schedule callsites.  Exit 0 iff
-    both prongs are clean.
+    Dynamic prong: the mission replayed once per ``--policies`` entry and
+    compared with the first (baseline) policy — byte for byte where the
+    policy repeats the baseline (``fifo,fifo`` is the same-seed replay),
+    on tie-normalized digests otherwise, with divergences bisected to the
+    offending schedule callsites.  Exit 0 iff both prongs are clean.
     """
     import json
 
     from repro.lint.engine import lint_paths
     from repro.lint.races import RACE_RULE_IDS
     from repro.lint.rules import default_rules
-    from repro.lint.tie_replay import check_tie_robustness
+    from repro.lint.replay import check_replay
 
     static_findings = lint_paths(
         args.paths, rules=default_rules(select=list(RACE_RULE_IDS)))
     policies = [p.strip() for p in args.policies.split(",") if p.strip()]
-    report = check_tie_robustness(seed=args.seed, days=args.days,
-                                  policies=policies,
-                                  fault_plan=load_fault_plan(args.faults),
-                                  overrides=mission_overrides(args))
+    report = check_replay(seed=args.seed, days=args.days, policies=policies,
+                          fault_plan=load_fault_plan(args.faults),
+                          overrides=mission_overrides(args))
     if args.format == "json":
         text = json.dumps({
             "static": [finding.to_dict() for finding in static_findings],
@@ -671,7 +684,7 @@ def _cmd_races(args) -> int:
         }, indent=2)
     else:
         lines = [f"static race rules: {len(static_findings)} finding(s) "
-                 f"over {' '.join(args.paths)}"]
+                 f"over {' '.join(args.paths) or '(no paths)'}"]
         lines.extend("  " + finding.render() for finding in static_findings)
         lines.append(report.format())
         text = "\n".join(lines)

@@ -24,9 +24,10 @@ of that day is O(1) interpolation.  ``MainsCharger`` and
 ``ConstantSource`` integrate in closed form directly and cache nothing,
 so tests that mutate their output mid-run stay exact.
 
-Environmental signals come from a weather provider — any object with
-``solar_factor(time)``, ``wind_speed(time)`` and ``snow_depth(time)``
-(see :class:`repro.environment.weather.IcelandWeather`).
+Environmental signals come from a weather provider
+(:class:`repro.environment.weather.IcelandWeather`): the instantaneous
+``solar_factor``, ``wind_speed`` and ``snow_depth`` plus the per-day
+caches the tables are built from (:class:`WeatherProvider`).
 
 Time-purity assumption: ``power_w`` must be a pure function of ``time``.
 A source whose output changes for non-weather reasons (a rewired
@@ -56,6 +57,18 @@ class WeatherProvider(Protocol):
     def snow_depth(self, time: float) -> float:
         """Snow depth at the station in metres."""
 
+    def day_samples(self, channel: str, day_index: int) -> tuple:
+        """Memoised ``channel`` samples on the :attr:`PowerSource.TABLE_STEP_S` grid."""
+
+    def day_memo(self, key: str, day_index: int, build: Callable[[], tuple]) -> tuple:
+        """Memoise a derived per-day table."""
+
+    def solar_terms(self, day_index: int) -> Tuple[float, float]:
+        """Sine-elevation constants ``(A, B)`` of the day."""
+
+    def cloud_pieces(self, t0: float, t1: float) -> Iterator[Tuple[float, float, float, float]]:
+        """Linear cloud-transmission pieces ``(p, q, c0, c1)`` over ``[t0, t1]``."""
+
 
 def _iter_day_spans(t0: float, t1: float) -> Iterator[Tuple[int, float, float]]:
     """Split ``[t0, t1]`` at UTC-day boundaries: yields ``(day_index, a, b)``."""
@@ -72,9 +85,9 @@ def _iter_day_spans(t0: float, t1: float) -> Iterator[Tuple[int, float, float]]:
 class PowerSource:
     """Base class: a named generator with instantaneous and interval queries."""
 
-    #: Grid step of the per-day cumulative energy tables, seconds.  Must
-    #: match :data:`repro.environment.weather.DAY_CACHE_STEP_S` so derived
-    #: tables (the shared solar unit integral) land on the same nodes; 900 s
+    #: Grid step of the per-day cumulative energy tables, seconds.  Equal
+    #: to :data:`repro.environment.weather.DAY_CACHE_STEP_S` (a test pins
+    #: it) so the tables land on the weather's ``day_samples`` nodes; 900 s
     #: still sub-samples every weather breakpoint (3-hour noise blocks,
     #: piecewise-linear gusts) several times over.
     TABLE_STEP_S = 900.0
@@ -115,32 +128,13 @@ class PowerSource:
         return max(0.0, total)
 
     # -- table machinery ------------------------------------------------
-    def _cell_energy_j(self, a: float, b: float) -> float:
-        """Exact-as-possible energy of one table cell ``[a, b]``.
-
-        Default: trapezoid of ``power_w`` — one cell is one trapezoid.
-        ``SolarPanel`` overrides this with the analytic integral.
-        """
-        return 0.5 * (self.power_w(a) + self.power_w(b)) * (b - a)
-
     def _day_table(self, day_index: int) -> Tuple[tuple, tuple, float]:
+        """The day's table, built once by the subclass's ``_build_day_table``."""
         cached = self._day_tables.get(day_index)
         if cached is None:
             cached = self._build_day_table(day_index)
             self._day_tables[day_index] = cached
         return cached
-
-    def _build_day_table(self, day_index: int) -> Tuple[tuple, tuple, float]:
-        step = self.TABLE_STEP_S
-        cells = int(round(DAY / step))
-        base = day_index * DAY
-        powers = tuple(self.power_w(base + k * step) for k in range(cells + 1))
-        cumulative = [0.0]
-        acc = 0.0
-        for k in range(cells):
-            acc += self._cell_energy_j(base + k * step, base + (k + 1) * step)
-            cumulative.append(acc)
-        return powers, tuple(cumulative), step
 
     @staticmethod
     def _cumulative_at(powers: tuple, cumulative: tuple, step: float, offset: float) -> float:
@@ -208,12 +202,7 @@ class SolarPanel(PowerSource):
         weather = self.weather
         step = self.TABLE_STEP_S
         cells = int(round(DAY / step))
-        if not (hasattr(weather, "solar_terms") and hasattr(weather, "cloud_pieces")
-                and hasattr(weather, "day_samples") and hasattr(weather, "day_memo")):
-            return super()._build_day_table(day_index)
         factors = weather.day_samples("solar_factor", day_index)
-        if len(factors) != cells + 1:  # mismatched grids: stay generic
-            return super()._build_day_table(day_index)
         base = day_index * DAY
         burial = max(0.0, 1.0 - weather.snow_depth(base) / self.burial_depth_m)
         scale = self.rated_w * burial
@@ -230,7 +219,11 @@ class SolarPanel(PowerSource):
         """Cumulative ``∫ max(0, sin_elev)·cloud dt`` at each cell edge.
 
         Panel-free (no rating, no burial): a pure function of the weather,
-        cached per day via :meth:`IcelandWeather.day_memo`.
+        cached per day via :meth:`IcelandWeather.day_memo`.  Within one UTC
+        day the clear-sky sine-elevation is ``A + B*cos(ω(t - noon))``
+        (declination constant per day) and cloud transmission is piecewise
+        linear between 3-hour noise breakpoints, so the product integrates
+        in closed form piece by piece over the daylight arc.
         """
         weather = self.weather
         step = self.TABLE_STEP_S
@@ -261,43 +254,6 @@ class SolarPanel(PowerSource):
                     acc += piece(sin_term, cos_term, omega, noon, p, q, c0, c1)
             cumulative.append(acc)
         return tuple(cumulative)
-
-    def _cell_energy_j(self, a: float, b: float) -> float:
-        """Analytic integral of the diurnal curve over one cell.
-
-        Within one UTC day the clear-sky sine-elevation is
-        ``A + B*cos(ω(t - noon))`` (declination constant per day) and cloud
-        transmission is piecewise linear between 3-hour noise breakpoints,
-        so the product integrates in closed form piece by piece.  Snow
-        burial has daily resolution and scales the whole arc.  Falls back
-        to the trapezoid rule for weather stubs without the cache hooks.
-        """
-        weather = self.weather
-        if not (hasattr(weather, "solar_terms") and hasattr(weather, "cloud_pieces")):
-            return super()._cell_energy_j(a, b)
-        day_index = int(math.floor(a / DAY))
-        burial = max(0.0, 1.0 - weather.snow_depth(a) / self.burial_depth_m)
-        if burial <= 0.0:
-            return 0.0
-        sin_term, cos_term = weather.solar_terms(day_index)
-        omega = 2.0 * math.pi / DAY
-        noon = (day_index + 0.5) * DAY
-        # Daylight arc: sine-elevation positive iff cos(ω(t-noon)) > -A/B.
-        if sin_term >= cos_term:  # midnight sun: never sets
-            rise, sets = day_index * DAY, (day_index + 1) * DAY
-        elif sin_term <= -cos_term:  # polar night: never rises
-            return 0.0
-        else:
-            half = math.acos(-sin_term / cos_term) / omega
-            rise, sets = noon - half, noon + half
-        lo, hi = max(a, rise), min(b, sets)
-        if hi <= lo:
-            return 0.0
-        total = 0.0
-        for p, q, c0, c1 in weather.cloud_pieces(lo, hi):
-            total += self._piece_integral(sin_term, cos_term, omega, noon, p, q, c0, c1)
-        # Round-off at the daylight-arc endpoints can leave a tiny negative.
-        return max(0.0, self.rated_w * burial * total)
 
     @staticmethod
     def _piece_integral(
@@ -335,9 +291,8 @@ class WindTurbine(PowerSource):
     being useful".
 
     The power curve has no useful closed form, so interval energy comes
-    from the generic per-day trapezoid tables; the day's speed samples are
-    pulled through the weather layer's memoised ``day_samples`` cache when
-    available, so the hash/trig work per day happens once.
+    from per-day trapezoid tables over the weather layer's memoised
+    ``day_samples`` speeds, so the hash/trig work per day happens once.
     """
 
     def __init__(
@@ -372,11 +327,8 @@ class WindTurbine(PowerSource):
         return self._power_from_speed(self.weather.wind_speed(time))
 
     def _build_day_table(self, day_index: int) -> Tuple[tuple, tuple, float]:
-        day_samples = getattr(self.weather, "day_samples", None)
-        if day_samples is None:
-            return super()._build_day_table(day_index)  # weather stubs
         base = day_index * DAY
-        speeds = day_samples("wind_speed", day_index)
+        speeds = self.weather.day_samples("wind_speed", day_index)
         step = DAY / (len(speeds) - 1)
         if self.weather.snow_depth(base) >= self.disabled_snow_depth_m:
             powers = (0.0,) * len(speeds)  # snow gate: daily resolution

@@ -32,6 +32,7 @@ costs O(metric families), not O(runs) — see ``docs/telemetry_rollup.md``.
 from repro.fleet.cache import GcReport, SweepCache, config_digest, job_digest
 from repro.fleet.results import SweepResult, merge_runs, sweep_to_json
 from repro.fleet.runner import (
+    SweepInputError,
     SweepJob,
     SweepSpec,
     expand_grid,
@@ -42,6 +43,7 @@ from repro.fleet.runner import (
 __all__ = [
     "GcReport",
     "SweepCache",
+    "SweepInputError",
     "SweepJob",
     "SweepResult",
     "SweepSpec",

@@ -269,9 +269,12 @@ def ensure_manifest(work_dir: str, spec: Any,
     campaign creation so every drainer cuts identical blocks.  A
     different spec raises: one work directory hosts exactly one
     campaign.  A ``block_size`` below 1 raises before anything is written.
+    Both raise :class:`~repro.fleet.runner.SweepInputError`.
     """
+    from repro.fleet.runner import SweepInputError
+
     if block_size < 1:
-        raise ValueError(f"claim-block size must be >= 1, got {block_size}")
+        raise SweepInputError(f"claim-block size must be >= 1, got {block_size}")
     os.makedirs(os.path.join(work_dir, CLAIMS_DIR), exist_ok=True)
     os.makedirs(os.path.join(work_dir, CACHE_DIR), exist_ok=True)
     path = os.path.join(work_dir, MANIFEST_NAME)
@@ -280,7 +283,7 @@ def ensure_manifest(work_dir: str, spec: Any,
     if os.path.exists(path):
         existing = load_manifest(work_dir)
         if _canonical(existing["spec"]) != _canonical(doc["spec"]):
-            raise ValueError(
+            raise SweepInputError(
                 f"work dir {work_dir!r} already holds a different campaign "
                 f"manifest — one work dir hosts one campaign")
         return existing
@@ -292,18 +295,24 @@ def ensure_manifest(work_dir: str, spec: Any,
 
 
 def load_manifest(work_dir: str) -> Dict[str, Any]:
-    """Read the campaign manifest; raises on absence or version skew."""
+    """Read the campaign manifest; raises on absence or version skew.
+
+    Version skew and an unusable ``block_size`` raise
+    :class:`~repro.fleet.runner.SweepInputError`.
+    """
+    from repro.fleet.runner import SweepInputError
+
     path = os.path.join(work_dir, MANIFEST_NAME)
     with open(path, "r", encoding="utf-8") as fh:
         doc = json.load(fh)
     if doc.get("version") != 1:
-        raise ValueError(f"unsupported manifest version {doc.get('version')!r}")
+        raise SweepInputError(f"unsupported manifest version {doc.get('version')!r}")
     if doc.get("repro_version") != _repro_version():
-        raise ValueError(
+        raise SweepInputError(
             f"manifest was written by repro {doc.get('repro_version')!r}, "
             f"this is {_repro_version()!r} — start a fresh campaign dir")
     if not isinstance(doc.get("block_size"), int) or doc["block_size"] < 1:
-        raise ValueError(
+        raise SweepInputError(
             f"manifest {path} has block_size {doc.get('block_size')!r}; it "
             f"must be an integer >= 1 — start a fresh campaign dir")
     return doc

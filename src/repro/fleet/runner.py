@@ -46,6 +46,12 @@ from repro.fleet.results import SweepResult
 OverrideItems = Tuple[Tuple[str, Any], ...]
 
 
+class SweepInputError(ValueError):
+    """A sweep's inputs are unusable: an unknown grid field, or a work dir
+    holding another campaign or an unreadable manifest.  Front ends report
+    it as a usage error, not a run failure."""
+
+
 @dataclasses.dataclass(frozen=True)
 class SweepJob:
     """One grid point: config overrides × fault plan × seed × duration.
@@ -88,6 +94,17 @@ class SweepSpec:
         plans = len(self.fault_plans) if self.fault_plans else 1
         return len(self.grid) * plans * len(self.seeds)
 
+    def validate(self) -> None:
+        """Raise :class:`SweepInputError` naming unknown grid fields."""
+        from repro.faults.harness import DEPLOYMENT_FIELDS, STATION_FIELDS
+
+        unknown = set().union(*self.grid) - STATION_FIELDS - DEPLOYMENT_FIELDS
+        if unknown:
+            raise SweepInputError(
+                f"unknown StationConfig/DeploymentConfig field(s)"
+                f" in sweep grid: {sorted(unknown)}"
+            )
+
     def iter_jobs(self) -> Iterator[SweepJob]:
         """Lazily yield validated jobs in deterministic order.
 
@@ -95,18 +112,11 @@ class SweepSpec:
         consumes this directly so a million-run campaign never holds the
         full job list (let alone a future per job) in memory.
         """
-        from repro.faults.harness import DEPLOYMENT_FIELDS, STATION_FIELDS
-
+        self.validate()
         plans = self.fault_plans if self.fault_plans else [None]
         rules_json = (None if self.alert_rules is None
                       else _canonical_plan(self.alert_rules))
         for overrides in self.grid:
-            unknown = set(overrides) - STATION_FIELDS - DEPLOYMENT_FIELDS
-            if unknown:
-                raise ValueError(
-                    f"unknown StationConfig/DeploymentConfig field(s)"
-                    f" in sweep grid: {sorted(unknown)}"
-                )
             items: OverrideItems = tuple(sorted(overrides.items()))
             cfg_digest = config_digest(overrides)
             for plan in plans:
@@ -447,6 +457,7 @@ def _run_shared_dir(spec: SweepSpec, result: SweepResult, *, jobs: int,
         raise ValueError(
             "a work_dir sweep manages its own cache under work_dir; "
             "do not pass one")
+    spec.validate()  # before the manifest pins a campaign that cannot run
     executor.ensure_manifest(
         work_dir, spec,
         block_size=(executor.DEFAULT_BLOCK_SIZE if chunk_size is None

@@ -12,32 +12,24 @@ This package enforces the invariants that make that true:
   ``# repro-lint: disable=<rule>`` suppression, structured findings;
 - **a CLI gate** (:mod:`repro.lint.cli`, installed as ``repro-lint``) —
   text/JSON output, exit 0/1 for CI;
-- **a runtime harness** (:mod:`repro.lint.determinism`) — replays a short
-  mission twice with one seed and diffs trace digests.
+- **a runtime harness** (:mod:`repro.lint.replay`, run as ``repro-sim
+  races``) — replays one mission per tie-break policy and compares trace
+  digests against the baseline: byte for byte when a policy repeats the
+  baseline (``fifo,fifo``, the same-seed replay), after tie normalisation
+  otherwise.
 
 See ``docs/determinism.md`` for the invariant catalogue and how to add rules.
 """
 
 from repro.lint.engine import lint_paths, lint_source
 from repro.lint.findings import Finding, Severity
+from repro.lint.replay import ReplayReport, check_replay, run_mission, trace_digest
 from repro.lint.rules import RULE_REGISTRY, Rule, default_rules, register
 
-#: Harness symbols resolved lazily so ``python -m repro.lint.determinism``
-#: does not trigger the found-in-sys.modules RuntimeWarning.
-_DETERMINISM_EXPORTS = ("DeterminismReport", "check_determinism", "trace_digest")
-
-
-def __getattr__(name: str):
-    """Lazy access to the determinism harness exports."""
-    if name in _DETERMINISM_EXPORTS:
-        from repro.lint import determinism
-
-        return getattr(determinism, name)
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-
 __all__ = [
-    "DeterminismReport",
-    "check_determinism",
+    "ReplayReport",
+    "check_replay",
+    "run_mission",
     "trace_digest",
     "lint_paths",
     "lint_source",

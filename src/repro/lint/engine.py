@@ -34,7 +34,7 @@ from repro.lint.findings import Finding, Severity
 from repro.lint.rules import FileContext, Rule, default_rules
 
 # Importing the module registers the event-ordering race rules; every
-# entry point (CLI, tests, tie_replay) reaches the registry through the
+# entry point (CLI, tests, replay) reaches the registry through the
 # engine, so this is the one place that has to know they exist.
 import repro.lint.races  # noqa: E402,F401  (registration side effect)
 

@@ -21,7 +21,7 @@ rules catch the three static shapes of that dependence:
   integers, not a contract; use ``events_scheduled`` / ``queue_depth`` /
   ``peek()``).
 
-The dynamic prong (:mod:`repro.lint.tie_replay`) replays whole missions
+The dynamic prong (:mod:`repro.lint.replay`) replays whole missions
 under perturbed policies and bisects digest divergences back to schedule
 callsites; these rules are its cheap, always-on complement.
 """

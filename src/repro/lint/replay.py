@@ -1,44 +1,76 @@
-"""Perturbed-tie replay: the dynamic prong of the race detector.
+"""Mission replay: the runtime half of the determinism gate.
 
-The static rules in :mod:`repro.lint.races` catch code *shaped* like an
-event-ordering race; this module checks the *effect*: a mission replayed
-under perturbed same-timestamp tie-break policies must tell the same
-story.  Same-timestamp events have no defined order — the kernel's seq
-counter is an implementation detail — so any trace difference that
-appears when only the tie order changes is a real race.
+The static rules catch the *causes* of nondeterminism; this module checks
+the *effect*.  It replays one mission once per tie-break policy, renders
+every trace record canonically (:func:`record_canonical`), digests the
+lines and compares each run against the first (baseline) policy:
 
-Within one instant the *set* of trace records is the contract but their
-relative order is presentation (it necessarily permutes with the tie
-policy), so traces are compared after :func:`normalize_tie_order`: sort
-the canonical lines within each equal-timestamp group, then digest.
+- **Same policy as the baseline** (``fifo,fifo``): a same-seed replay.
+  The raw digests must be byte-identical; a divergence is reported at
+  the first differing record and needs no tie diagnostics, since no
+  callsite flip can explain it.
+- **Any other policy**: a perturbed-tie replay.  Same-timestamp events
+  have no defined order — the kernel's seq counter is an implementation
+  detail — so within one instant the *set* of trace records is the
+  contract but their relative order is presentation.  Traces are
+  compared after :func:`normalize_tie_order` (sort the canonical lines
+  within each equal-timestamp group, then digest).  On divergence the
+  harness bisects to the first diverging normalized record, re-runs the
+  two policies with kernel tie diagnostics switched on
+  (:meth:`repro.sim.kernel.Simulation.enable_tie_diagnostics`), and
+  diffs the dispatch order at the diverging instant to name the pair of
+  schedule callsites whose relative order flipped — reported as
+  structured :class:`~repro.lint.findings.Finding` objects under the
+  ``tie-order-divergence`` rule id.
 
-On divergence the harness bisects to the first diverging normalized
-record, re-runs the two policies with kernel tie diagnostics switched on
-(:meth:`repro.sim.kernel.Simulation.enable_tie_diagnostics`), and diffs
-the dispatch order at the diverging instant to name the pair of schedule
-callsites whose relative order flipped — reported as structured
-:class:`~repro.lint.findings.Finding` objects under the
-``tie-order-divergence`` rule id.
-
-Run it as ``repro-sim races``, which also runs the static prong
+Run it as ``repro-sim races``, which also runs the static race rules
 (``--paths`` with no values gives the replay alone)::
 
+    repro-sim races --seed 0 --days 0.5 --policies fifo,fifo --paths
     repro-sim races --seed 0 --days 10 --paths
 """
 
 from __future__ import annotations
 
+import functools
+import hashlib
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
-from repro.lint.determinism import lines_digest, record_canonical
 from repro.lint.findings import Finding, Severity
+from repro.sim.trace import TraceRecord
 
-#: Rule id carried by dynamic-prong findings.
+#: Rule id carried by tie-order divergence findings.
 DIVERGENCE_RULE = "tie-order-divergence"
 
 #: Default policy set: the kernel default plus one deterministic shuffle.
 DEFAULT_POLICIES = ("fifo", "shuffle:1")
+
+_END_OF_TRACE = "<end of trace>"
+
+
+def record_canonical(record: TraceRecord) -> str:
+    """A stable one-line rendering of a trace record for digesting.
+
+    Detail dicts are rendered with sorted keys so digest equality never
+    depends on insertion order.
+    """
+    detail = ",".join(f"{k}={record.detail[k]!r}" for k in sorted(record.detail))
+    return f"{record.time:.9f}|{record.source}|{record.kind}|{detail}"
+
+
+def lines_digest(lines: Iterable[str]) -> str:
+    """SHA-256 over pre-rendered canonical lines, in order."""
+    digest = hashlib.sha256()
+    for line in lines:
+        digest.update(line.encode())
+        digest.update(b"\n")
+    return digest.hexdigest()
+
+
+def trace_digest(records: Iterable[TraceRecord]) -> str:
+    """SHA-256 over the canonical rendering of every record, in order."""
+    return lines_digest(record_canonical(record) for record in records)
 
 
 def normalize_tie_order(lines: Sequence[str]) -> List[str]:
@@ -64,6 +96,48 @@ def normalize_tie_order(lines: Sequence[str]) -> List[str]:
     return normalized
 
 
+#: Builds a runnable mission for one tie-break policy.  Must return an
+#: object with ``.sim`` (the :class:`~repro.sim.kernel.Simulation`) and
+#: ``.run_days(days)`` — :class:`~repro.core.deployment.Deployment`
+#: satisfies this, and tests substitute toy missions.
+MissionFactory = Callable[[str], Any]
+
+
+def _build_mission(seed: int, fault_plan: Optional[dict],
+                   overrides: Optional[dict], tie_break: str):
+    """The default mission: :func:`repro.faults.build_mission` with a policy."""
+    from repro.faults.harness import build_mission
+
+    deployment, _ = build_mission(seed, {**(overrides or {}),
+                                         "tie_break": tie_break},
+                                  fault_plan=fault_plan)
+    return deployment
+
+
+def _trace_lines(mission: Any, days: float) -> List[str]:
+    """Run ``mission`` for ``days`` and render its trace canonically."""
+    mission.run_days(days)
+    return [record_canonical(record) for record in mission.sim.trace.records]
+
+
+def run_mission(seed: int, days: float,
+                fault_plan: Optional[dict] = None,
+                tie_break: str = "fifo",
+                overrides: Optional[dict] = None) -> Tuple[str, List[str]]:
+    """Run one short deployment; return (trace digest, canonical lines).
+
+    ``fault_plan`` (a :class:`repro.faults.FaultPlan` dict form) is armed
+    before the run, so the replay comparison covers fault scheduling,
+    injection edges and every recovery path the plan provokes.
+    ``tie_break`` selects the kernel's same-timestamp ordering policy;
+    ``overrides`` are :func:`repro.faults.harness.build_mission`
+    overrides (fleet shape, station settings).
+    """
+    lines = _trace_lines(
+        _build_mission(seed, fault_plan, overrides, tie_break), days)
+    return lines_digest(lines), lines
+
+
 @dataclass(frozen=True)
 class PolicyRun:
     """One mission replay under one tie-break policy."""
@@ -83,16 +157,19 @@ class PolicyRun:
 
 
 @dataclass(frozen=True)
-class TieDivergence:
-    """First normalized-trace divergence between baseline and one policy."""
+class ReplayDivergence:
+    """First trace divergence between the baseline and one replayed run."""
 
     policy: str
-    #: Index into the normalized line sequence.
+    #: Index into the raw line sequence when ``exact``, else into the
+    #: tie-normalized one.
     index: int
     #: Simulated time of the diverging record (seconds).
     time: float
     baseline_line: str
-    perturbed_line: str
+    replay_line: str
+    #: True for a same-policy replay, compared byte for byte.
+    exact: bool
 
     def to_dict(self) -> Dict[str, Any]:
         return {
@@ -100,27 +177,29 @@ class TieDivergence:
             "index": self.index,
             "time": self.time,
             "baseline_line": self.baseline_line,
-            "perturbed_line": self.perturbed_line,
+            "replay_line": self.replay_line,
+            "exact": self.exact,
         }
 
 
 @dataclass(frozen=True)
-class TieReplayReport:
-    """Outcome of a perturbed-tie replay comparison."""
+class ReplayReport:
+    """Outcome of a replay comparison against the baseline policy."""
 
     seed: int
     days: float
     policies: Tuple[str, ...]
     runs: Tuple[PolicyRun, ...]
-    divergences: Tuple[TieDivergence, ...]
+    divergences: Tuple[ReplayDivergence, ...]
     findings: Tuple[Finding, ...] = field(default=())
 
     @property
     def robust(self) -> bool:
-        """True when every policy reproduced the baseline's normalized digest."""
+        """True when every run reproduced the baseline (see :func:`check_replay`)."""
         return not self.divergences
 
     def to_dict(self) -> Dict[str, Any]:
+        """JSON-ready form (the ``replay`` section of ``races --format json``)."""
         return {
             "seed": self.seed,
             "days": self.days,
@@ -132,7 +211,7 @@ class TieReplayReport:
         }
 
     def format(self) -> str:
-        """Human-readable verdict, including bisection results on failure."""
+        """Human-readable verdict, including the first divergence on failure."""
         lines = [
             f"tie replay: seed={self.seed} days={self.days:g} "
             f"policies={','.join(self.policies)}"
@@ -140,36 +219,34 @@ class TieReplayReport:
         for run in self.runs:
             lines.append(
                 f"  {run.policy}: {run.records} records, "
+                f"digest {run.digest[:16]}…, "
                 f"normalized digest {run.normalized_digest[:16]}…"
             )
         if self.robust:
             lines.append("tie replay OK: all policies agree")
             return "\n".join(lines)
-        lines.append("tie replay FAILED: trace depends on same-timestamp order")
+        lines.append("tie replay FAILED: trace differs from the baseline")
         for div in self.divergences:
-            lines.append(
-                f"  {div.policy}: first divergence at normalized record "
-                f"{div.index} (t={div.time:.9f})"
-            )
-            lines.append(f"    baseline:  {div.baseline_line}")
-            lines.append(f"    perturbed: {div.perturbed_line}")
+            if div.exact:
+                lines.append(
+                    f"  {div.policy}: same-seed replay, first divergence at "
+                    f"record {div.index} (t={div.time:.9f})"
+                )
+            else:
+                lines.append(
+                    f"  {div.policy}: tie order, first divergence at "
+                    f"normalized record {div.index} (t={div.time:.9f})"
+                )
+            lines.append(f"    baseline: {div.baseline_line}")
+            lines.append(f"    replay:   {div.replay_line}")
         for finding in self.findings:
             lines.append("  " + finding.render())
         return "\n".join(lines)
 
 
-#: Builds a runnable mission for one tie-break policy.  Must return an
-#: object with ``.sim`` (the :class:`~repro.sim.kernel.Simulation`) and
-#: ``.run_days(days)`` — :class:`~repro.core.deployment.Deployment`
-#: satisfies this, and tests substitute toy missions.
-MissionFactory = Callable[[str], Any]
-
-
 def _run_policy(factory: MissionFactory, policy: str,
                 days: float) -> Tuple[PolicyRun, List[str]]:
-    mission = factory(policy)
-    mission.run_days(days)
-    lines = [record_canonical(record) for record in mission.sim.trace.records]
+    lines = _trace_lines(factory(policy), days)
     return PolicyRun(
         policy=policy,
         digest=lines_digest(lines),
@@ -179,23 +256,19 @@ def _run_policy(factory: MissionFactory, policy: str,
 
 
 def _first_divergence(policy: str, base_lines: List[str],
-                      other_lines: List[str]) -> TieDivergence:
-    base_norm = normalize_tie_order(base_lines)
-    other_norm = normalize_tie_order(other_lines)
-    for index, (a, b) in enumerate(zip(base_norm, other_norm)):
-        if a != b:
-            return TieDivergence(
-                policy=policy, index=index,
-                time=float(a.split("|", 1)[0]),
-                baseline_line=a, perturbed_line=b,
-            )
-    index = min(len(base_norm), len(other_norm))
-    longer = base_norm if len(base_norm) > len(other_norm) else other_norm
-    return TieDivergence(
-        policy=policy, index=index,
-        time=float(longer[index].split("|", 1)[0]),
-        baseline_line=base_norm[index] if index < len(base_norm) else "<end of trace>",
-        perturbed_line=other_norm[index] if index < len(other_norm) else "<end of trace>",
+                      other_lines: List[str], exact: bool) -> ReplayDivergence:
+    """The first differing line: raw when ``exact``, else tie-normalized."""
+    if not exact:
+        base_lines = normalize_tie_order(base_lines)
+        other_lines = normalize_tie_order(other_lines)
+    index = next((i for i, (a, b) in enumerate(zip(base_lines, other_lines))
+                  if a != b), min(len(base_lines), len(other_lines)))
+    base = base_lines[index] if index < len(base_lines) else _END_OF_TRACE
+    other = other_lines[index] if index < len(other_lines) else _END_OF_TRACE
+    timed = base_lines[index] if index < len(base_lines) else other
+    return ReplayDivergence(
+        policy=policy, index=index, time=float(timed.split("|", 1)[0]),
+        baseline_line=base, replay_line=other, exact=exact,
     )
 
 
@@ -244,7 +317,7 @@ def _order_flips(base_sites: List[Tuple[str, int]],
     return flips
 
 
-def _divergence_findings(divergence: TieDivergence,
+def _divergence_findings(divergence: ReplayDivergence,
                          factory: MissionFactory,
                          days: float,
                          baseline: str) -> List[Finding]:
@@ -263,7 +336,7 @@ def _divergence_findings(divergence: TieDivergence,
     context = (
         f"trace diverges at t={time_key} "
         f"({baseline} vs {divergence.policy}): "
-        f"{divergence.baseline_line!r} != {divergence.perturbed_line!r}"
+        f"{divergence.baseline_line!r} != {divergence.replay_line!r}"
     )
     if not flips:
         # Different event *sets* at the instant (an earlier flip cascaded)
@@ -298,48 +371,51 @@ def _divergence_findings(divergence: TieDivergence,
     return findings
 
 
-def check_tie_robustness(
+def check_replay(
     seed: int = 0,
     days: float = 45.0,
     policies: Sequence[str] = DEFAULT_POLICIES,
     fault_plan: Optional[dict] = None,
     mission_factory: Optional[MissionFactory] = None,
     overrides: Optional[dict] = None,
-) -> TieReplayReport:
-    """Replay one mission under each policy and diff normalized digests.
+) -> ReplayReport:
+    """Replay one mission under each policy and compare it with the first.
 
-    ``policies[0]`` is the baseline; every other policy is compared
-    against it.  On divergence the report carries the bisected first
-    diverging record and ``tie-order-divergence`` findings at the
-    offending schedule callsites (diagnosed from two further runs with
-    kernel tie diagnostics enabled).
+    ``policies[0]`` is the baseline.  A policy equal to the baseline is a
+    same-seed replay: its raw digest must match, and a divergence is
+    located on the raw lines with no diagnostic re-runs.  Any other policy
+    is compared on normalized digests; a divergence there carries the
+    bisected first diverging record and ``tie-order-divergence`` findings
+    at the offending schedule callsites (diagnosed from two further runs
+    with kernel tie diagnostics enabled).
     """
     if len(policies) < 2:
-        raise ValueError("need at least two policies (baseline + perturbed)")
+        raise ValueError("need at least two policies (baseline + replay)")
     if mission_factory is None:
-        from repro.faults.harness import build_mission
-
-        def mission_factory(policy: str):
-            deployment, _ = build_mission(
-                seed, {**(overrides or {}), "tie_break": policy},
-                fault_plan=fault_plan)
-            return deployment
+        mission_factory = functools.partial(_build_mission, seed, fault_plan,
+                                            overrides)
     baseline_policy = policies[0]
     baseline_run, baseline_lines = _run_policy(mission_factory, baseline_policy, days)
     runs: List[PolicyRun] = [baseline_run]
-    divergences: List[TieDivergence] = []
+    divergences: List[ReplayDivergence] = []
     findings: List[Finding] = []
     for policy in policies[1:]:
         run, lines = _run_policy(mission_factory, policy, days)
         runs.append(run)
-        if run.normalized_digest == baseline_run.normalized_digest:
+        exact = policy == baseline_policy
+        if exact:
+            agrees = run.digest == baseline_run.digest
+        else:
+            agrees = run.normalized_digest == baseline_run.normalized_digest
+        if agrees:
             continue
-        divergence = _first_divergence(policy, baseline_lines, lines)
+        divergence = _first_divergence(policy, baseline_lines, lines, exact)
         divergences.append(divergence)
-        findings.extend(_divergence_findings(
-            divergence, mission_factory, days, baseline_policy))
+        if not exact:
+            findings.extend(_divergence_findings(
+                divergence, mission_factory, days, baseline_policy))
     findings.sort(key=Finding.sort_key)
-    return TieReplayReport(
+    return ReplayReport(
         seed=seed, days=days, policies=tuple(policies),
         runs=tuple(runs), divergences=tuple(divergences),
         findings=tuple(findings),

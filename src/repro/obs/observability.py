@@ -74,44 +74,27 @@ class Observability:
         self.profile: Optional[WallClockProfile] = (
             WallClockProfile() if self_profile else None
         )
-        #: Fast-path flag consulted when the kernel (re)selects its per-step
-        #: dispatch; True only when per-event work (spans or profiling) is
-        #: actually wanted.
+        #: Fast-path flag the kernel reads when it chooses its per-step hook
+        #: (at each ``run()``/``step()`` entry); True only when per-event
+        #: work (spans or profiling) is actually wanted.
         self.kernel_active = bool(kernel_spans or self_profile)
         self._trace_bridge = trace_bridge
         #: ``(source, kind) -> Counter`` — cached trace-bridge handles.
         self._trace_counters: dict = {}
-        #: Callbacks to re-select cached kernel dispatch when flags change
-        #: (the kernel registers :meth:`Simulation._refresh_dispatch` here,
-        #: so the run loop never re-reads ``kernel_active`` per event).
-        self._dispatch_listeners: list = []
 
     # ------------------------------------------------------------------
     # Configuration
     # ------------------------------------------------------------------
-    def _add_dispatch_listener(self, callback: Callable[[], None]) -> None:
-        self._dispatch_listeners.append(callback)
-
-    def _remove_dispatch_listener(self, callback: Callable[[], None]) -> None:
-        if callback in self._dispatch_listeners:
-            self._dispatch_listeners.remove(callback)
-
-    def _notify_dispatch(self) -> None:
-        for callback in list(self._dispatch_listeners):
-            callback()
-
     def enable_kernel_spans(self) -> None:
-        """Record an instant span for every kernel event from now on."""
+        """Record an instant span for every kernel event from the next run."""
         self.kernel_spans = True
         self.kernel_active = True
-        self._notify_dispatch()
 
     def enable_self_profile(self) -> None:
-        """Time every event's callbacks on the host clock from now on."""
+        """Time every event's callbacks on the host clock from the next run."""
         if self.profile is None:
             self.profile = WallClockProfile()
         self.kernel_active = True
-        self._notify_dispatch()
 
     # ------------------------------------------------------------------
     # Spans

@@ -61,7 +61,7 @@ class Simulation:
         of each equal-timestamp group keyed by ``<seed>``.  Every policy
         is fully deterministic: same policy + same mission seed replays
         byte-identically.  The perturbed policies exist so the races
-        harness (:mod:`repro.lint.tie_replay`) can prove that no schedule
+        harness (:mod:`repro.lint.replay`) can prove that no schedule
         silently relies on heap-insertion order — the prerequisite for
         batched same-timestamp dispatch.  Only the tie key among events
         with *equal* timestamps is permuted; cross-timestamp order is
@@ -119,45 +119,25 @@ class Simulation:
         #: Enqueue sites then keep their inlined ``_sequence`` increment;
         #: otherwise they route through :meth:`_next_key`.
         self._tie_fast = kind == "fifo"
-        #: Cached per-step instrumentation hook: ``None`` on the fast path,
-        #: the bound ``Observability.kernel_step`` method otherwise.  Selected
-        #: once whenever the hub or its flags change — the run loop never
-        #: chases ``obs.kernel_active`` attribute chains per event.
-        self._kernel_hook: Optional[Callable] = None
-        self._obs: Optional[Observability] = None
-        self.obs = obs if obs is not None else Observability(clock=self.clock)
+        #: The observability hub (``None`` disables all instrumentation).
+        self.obs: Optional[Observability] = (
+            obs if obs is not None else Observability(clock=self.clock))
         self.obs.attach_trace(self.trace)
 
-    # ------------------------------------------------------------------
-    # Observability dispatch
-    # ------------------------------------------------------------------
-    @property
-    def obs(self) -> Optional[Observability]:
-        """The observability hub (``None`` disables all instrumentation)."""
-        return self._obs
+    def _step_hook(self) -> Optional[Callable]:
+        """The per-step hook, chosen at :meth:`run` / :meth:`step` entry.
 
-    @obs.setter
-    def obs(self, hub: Optional[Observability]) -> None:
-        old = self._obs
-        if old is not None:
-            old._remove_dispatch_listener(self._refresh_dispatch)
-        self._obs = hub
-        if hub is not None:
-            hub._add_dispatch_listener(self._refresh_dispatch)
-        self._refresh_dispatch()
-
-    def _refresh_dispatch(self) -> None:
-        """Re-select the per-step dispatch after an observability change."""
-        hub = self._obs
+        ``None`` on the fast path.  Tie diagnostics own the hook when on
+        (diagnosis missions are dedicated, so obs kernel spans and
+        diagnostics are never wanted at once); otherwise the hub's
+        ``kernel_step`` while it wants per-event work.
+        """
         if self._dispatch_log is not None:
-            # Tie diagnostics own the per-step hook for the whole run;
-            # diagnosis missions are dedicated, so obs kernel spans and
-            # diagnostics are never wanted at once.
-            self._kernel_hook = self._diag_step
-        elif hub is not None and hub.kernel_active:
-            self._kernel_hook = hub.kernel_step
-        else:
-            self._kernel_hook = None
+            return self._diag_step
+        obs = self.obs
+        if obs is not None and obs.kernel_active:
+            return obs.kernel_step
+        return None
 
     # ------------------------------------------------------------------
     # Time
@@ -221,7 +201,7 @@ class Simulation:
         Switches every enqueue onto the slow path, captures the first
         non-kernel stack frame of each enqueue, and logs
         ``(time, (file, line), event_type, event_name)`` per dispatched
-        event.  The races harness (:mod:`repro.lint.tie_replay`) uses two
+        event.  The races harness (:mod:`repro.lint.replay`) uses two
         such runs under different tie policies to bisect a digest
         divergence back to the offending schedule callsites.  Returns the
         live dispatch log.
@@ -230,7 +210,6 @@ class Simulation:
             self._site_log = {}
             self._dispatch_log = []
             self._tie_fast = False
-            self._refresh_dispatch()
         return self._dispatch_log
 
     def _diag_step(self, event: Event, when: float, queue_len: int,
@@ -379,7 +358,7 @@ class Simulation:
         self.clock.advance_to(when)
         self.events_processed += 1
         self.dispatch_batches += 1
-        hook = self._kernel_hook
+        hook = self._step_hook()
         if hook is None:
             event._run_callbacks()
         else:
@@ -399,15 +378,14 @@ class Simulation:
         **Batched same-timestamp dispatch**: the loop drains each group of
         equal-``when`` events in one pass, peek-comparing the heap root
         instead of re-entering the outer loop per event, so the clock
-        write, the ``until`` comparison and the ``_kernel_hook`` read are
-        paid once per *group*.  Pop order inside a group is exactly the
+        write and the ``until`` comparison are paid once per *group*.  Pop order inside a group is exactly the
         heap order the active tie-break policy dictates, ``stop()`` is
         honoured between any two events, and a zero-delay event scheduled
         from inside a group joins the same group — so batched dispatch is
         observationally identical to the one-event-at-a-time loop (the
-        races harness proves it under fifo/lifo/shuffle).  The one
-        documented coarsening: an observability flag flipped mid-group
-        takes effect from the next group, not the next event.
+        races harness proves it under fifo/lifo/shuffle).  The per-step
+        hook is chosen once, at entry: an observability flag flipped or a
+        hub swapped during a run takes effect from the next ``run()`` call.
         """
         self._stopped = False
         queue = self._queue
@@ -416,6 +394,7 @@ class Simulation:
         processed = 0
         batches = 0
         limit = _INF if until is None else until
+        hook = self._step_hook()
         try:
             while queue and not self._stopped:
                 if queue[0][0] > limit:
@@ -423,7 +402,6 @@ class Simulation:
                 when, _seq, event = pop(queue)
                 clock._now = when  # heap order keeps this monotonic
                 batches += 1
-                hook = self._kernel_hook
                 if hook is None:
                     # Group members share `when`, so one limit-check at
                     # the head covers the whole drain.

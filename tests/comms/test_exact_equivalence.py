@@ -20,8 +20,13 @@ from repro.comms.probe_radio import ProbeRadioLink
 from repro.energy.battery import Battery
 from repro.energy.bus import PowerBus
 from repro.energy.components import GPRS_MODEM
-from repro.lint.determinism import lines_digest, record_canonical
-from repro.lint.tie_replay import check_tie_robustness, normalize_tie_order
+from repro.lint.replay import (
+    check_replay,
+    lines_digest,
+    normalize_tie_order,
+    record_canonical,
+    run_mission,
+)
 from repro.sim import Simulation
 from tests.oracles import ChunkedProbeRadioLink, ChunkedSendMixin, oracle_arms
 
@@ -260,14 +265,12 @@ class TestDeploymentDigests:
     """Exact mode at deployment level: replayable and tie-order robust."""
 
     def test_same_seed_replay_is_byte_identical(self):
-        from repro.lint.determinism import run_mission
-
         digest_a, _ = run_mission(seed=0, days=3.0)
         digest_b, _ = run_mission(seed=0, days=3.0)
         assert digest_a == digest_b
 
     def test_exact_mode_tie_normalized_digest_robust_across_policies(self):
-        report = check_tie_robustness(
+        report = check_replay(
             seed=0, days=3.0, policies=("fifo", "shuffle:1", "lifo"))
         assert report.robust, report.format()
         digests = {run.normalized_digest for run in report.runs}

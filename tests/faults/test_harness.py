@@ -10,7 +10,7 @@ from repro.faults import (
     build_mission,
     canonical_chaos_plan,
 )
-from repro.lint.determinism import check_determinism
+from repro.lint.replay import check_replay, run_mission
 
 
 def _short_plan() -> FaultPlan:
@@ -107,12 +107,12 @@ class TestEndToEnd:
 
 class TestReplayDeterminism:
     def test_same_seed_same_plan_identical_digest(self):
-        report = check_determinism(seed=5, days=2.0,
-                                   fault_plan=_short_plan().to_dict())
-        assert report.identical, report.summary()
+        report = check_replay(seed=5, days=2.0, policies=("fifo", "fifo"),
+                              fault_plan=_short_plan().to_dict())
+        assert report.robust, report.format()
+        assert report.runs[0].digest == report.runs[1].digest
 
     def test_plan_changes_the_digest(self):
-        from repro.lint.determinism import run_mission
         digest_plain, _ = run_mission(seed=5, days=1.0)
         digest_faulted, _ = run_mission(seed=5, days=1.0,
                                         fault_plan=_short_plan().to_dict())

@@ -1,16 +1,26 @@
-"""Regression: same-seed missions replay bit-for-bit; different seeds don't."""
+"""Regression: same-seed missions replay bit-for-bit; different seeds don't.
 
-from repro.lint.determinism import (
-    check_determinism,
-    main as determinism_main,
+A same-seed replay is :func:`check_replay` with the baseline policy
+repeated (``fifo,fifo``): the two runs are compared byte for byte, not
+after tie normalisation.
+"""
+
+from repro.cli import main as cli_main
+from repro.lint.replay import (
+    ReplayDivergence,
+    ReplayReport,
+    check_replay,
     record_canonical,
     run_mission,
     trace_digest,
 )
+from repro.sim import Simulation
 from repro.sim.trace import TraceRecord
 
 #: Short but non-trivial: covers an MSP430 sampling cycle and sensor reads.
 DAYS = 0.15
+
+SAME_SEED = ("fifo", "fifo")
 
 
 class TestDigest:
@@ -29,11 +39,12 @@ class TestDigest:
 
 class TestHarness:
     def test_same_seed_identical(self):
-        report = check_determinism(seed=0, days=DAYS)
-        assert report.identical, report.summary()
-        assert report.digest_a == report.digest_b
-        assert report.first_divergence is None
-        assert "determinism OK" in report.summary()
+        report = check_replay(seed=0, days=DAYS, policies=SAME_SEED)
+        assert report.robust, report.format()
+        assert report.runs[0].digest == report.runs[1].digest
+        assert report.divergences == ()
+        assert report.findings == ()
+        assert "tie replay OK" in report.format()
 
     def test_run_mission_produces_records(self):
         digest, lines = run_mission(seed=0, days=DAYS)
@@ -47,22 +58,71 @@ class TestHarness:
         assert digest_a != digest_b
 
     def test_main_exit_codes(self, capsys):
-        assert determinism_main(["--seed", "0", "--days", str(DAYS)]) == 0
-        assert "determinism OK" in capsys.readouterr().out
+        assert cli_main(["races", "--seed", "0", "--days", str(DAYS),
+                         "--policies", "fifo,fifo", "--paths"]) == 0
+        out = capsys.readouterr().out
+        assert "tie replay OK" in out
+        digest, _ = run_mission(seed=0, days=DAYS)
+        assert f"digest {digest[:16]}…" in out
+
+
+def _reordering_factory():
+    """Toy missions whose two fifo runs emit one instant's records in
+    opposite orders: same record set, different bytes."""
+    built = []
+
+    class Mission:
+        def __init__(self, policy):
+            self.sim = Simulation(seed=0, tie_break=policy)
+            built.append(self)
+            self.labels = ("a", "b") if len(built) % 2 else ("b", "a")
+
+        def run_days(self, days):
+            sim = self.sim
+            for label in self.labels:
+                sim.call_at(10.0, lambda label=label: sim.trace.emit(
+                    "toy", "ping", label=label))
+            sim.run(until=days * 86400.0)
+
+    return Mission
+
+
+class TestSamePolicyIsByteForByte:
+    def test_reordered_instant_is_a_divergence(self):
+        report = check_replay(days=0.01, policies=SAME_SEED,
+                              mission_factory=_reordering_factory())
+        assert not report.robust
+        base, replay = report.runs
+        assert base.normalized_digest == replay.normalized_digest
+        assert base.digest != replay.digest
+        (divergence,) = report.divergences
+        assert divergence.exact
+        assert divergence.index == 0 and divergence.time == 10.0
+        assert "label='a'" in divergence.baseline_line
+        assert "label='b'" in divergence.replay_line
+        # A callsite flip cannot explain a same-policy divergence: no
+        # tie diagnostics are run and no tie-order findings are raised.
+        assert report.findings == ()
+        text = report.format()
+        assert "FAILED" in text and "same-seed replay" in text
+
+    def test_other_policy_still_normalises_the_order(self):
+        report = check_replay(days=0.01, policies=("fifo", "lifo"),
+                              mission_factory=_reordering_factory())
+        assert report.robust, report.format()
 
 
 class TestDivergenceReporting:
     def test_summary_pinpoints_first_divergence(self):
-        report = check_determinism(seed=0, days=DAYS)
+        report = check_replay(seed=0, days=DAYS, policies=SAME_SEED)
         # Forge a diverged report from the real one to exercise the renderer.
-        from repro.lint.determinism import DeterminismReport
-
-        forged = DeterminismReport(
-            seed=0, days=DAYS,
-            digest_a=report.digest_a,
-            digest_b="0" * 64,
-            first_divergence=(3, "A-line", "B-line"),
+        forged = ReplayReport(
+            seed=0, days=DAYS, policies=SAME_SEED, runs=report.runs,
+            divergences=(ReplayDivergence(
+                policy="fifo", index=3, time=1.0,
+                baseline_line="A-line", replay_line="B-line", exact=True),),
         )
-        text = forged.summary()
+        text = forged.format()
         assert "FAILED" in text and "record 3" in text
         assert "A-line" in text and "B-line" in text
+        assert forged.to_dict()["divergences"][0]["exact"] is True

@@ -10,7 +10,7 @@ deferred probe sampling.
 import json
 from pathlib import Path
 
-from repro.lint.determinism import run_mission
+from repro.lint.replay import run_mission
 
 CHAOS_PLAN = (Path(__file__).resolve().parents[2]
               / "examples" / "faults" / "canonical_chaos.json")

@@ -702,7 +702,7 @@ class TestTraceRead:
         for path in ("src/repro/analysis/mission_report.py",
                      "src/repro/obs/provenance.py",
                      "src/repro/faults/invariants.py",
-                     "src/repro/lint/determinism.py",
+                     "src/repro/lint/replay.py",
                      "src/repro/sim/trace.py",
                      "tests/core/test_station.py"):
             assert findings_for(snippet, rule="trace-read", path=path) == [], path

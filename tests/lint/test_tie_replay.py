@@ -9,9 +9,9 @@ under every policy; an intentionally order-dependent mission must fail
 import pytest
 
 from repro.lint.findings import Severity
-from repro.lint.tie_replay import (
+from repro.lint.replay import (
     DIVERGENCE_RULE,
-    check_tie_robustness,
+    check_replay,
     normalize_tie_order,
 )
 from repro.sim import Simulation
@@ -98,7 +98,7 @@ def _racy_callsite_lines():
 
 class TestRobustMission:
     def test_passes_under_all_policies(self):
-        report = check_tie_robustness(
+        report = check_replay(
             days=0.01, policies=("fifo", "lifo", "shuffle:1", "shuffle:9"),
             mission_factory=RobustMission)
         assert report.robust
@@ -111,16 +111,16 @@ class TestRobustMission:
         assert len(report.runs) == 4
 
     def test_format_mentions_ok(self):
-        report = check_tie_robustness(days=0.01, policies=("fifo", "lifo"),
-                                      mission_factory=RobustMission)
+        report = check_replay(days=0.01, policies=("fifo", "lifo"),
+                              mission_factory=RobustMission)
         assert "tie replay OK" in report.format()
 
 
 class TestRacyMission:
     @pytest.fixture(scope="class")
     def report(self):
-        return check_tie_robustness(days=0.01, policies=("fifo", "lifo"),
-                                    mission_factory=RacyMission)
+        return check_replay(days=0.01, policies=("fifo", "lifo"),
+                            mission_factory=RacyMission)
 
     def test_detected(self, report):
         assert not report.robust
@@ -158,8 +158,7 @@ class TestRacyMission:
 class TestValidation:
     def test_needs_two_policies(self):
         with pytest.raises(ValueError):
-            check_tie_robustness(policies=("fifo",),
-                                 mission_factory=RobustMission)
+            check_replay(policies=("fifo",), mission_factory=RobustMission)
 
 
 class TestCanonicalMission:
@@ -167,6 +166,6 @@ class TestCanonicalMission:
         # The CI smoke runs 10 days; one day here keeps the suite quick
         # while still crossing the noon schedule boundary that produced
         # the original voltage_sample race.
-        report = check_tie_robustness(seed=0, days=1.0,
-                                      policies=("fifo", "lifo", "shuffle:1"))
+        report = check_replay(seed=0, days=1.0,
+                              policies=("fifo", "lifo", "shuffle:1"))
         assert report.robust, report.format()

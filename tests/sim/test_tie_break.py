@@ -2,7 +2,7 @@
 
 Same-timestamp events have no *contractual* order; the ``tie_break``
 policy makes the accidental order explicit and perturbable so the replay
-harness (:mod:`repro.lint.tie_replay`) can shake out code that silently
+harness (:mod:`repro.lint.replay`) can shake out code that silently
 depends on it.  These tests pin the policy semantics themselves: what
 each policy does, that every policy is deterministic, and that nothing
 but within-instant order ever changes.

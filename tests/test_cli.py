@@ -3,14 +3,11 @@
 import pytest
 
 from repro.cli import build_parser, main
-from repro.lint.determinism import main as determinism_main
+from repro.lint.cli import main as lint_main
 
-
-def run_entry(command):
-    """Run ``repro-sim <command>``, or another entry point given first."""
-    if callable(command[0]):
-        return command[0](command[1:])
-    return main(command)
+#: The same-seed replay alone: ``races`` with the baseline policy repeated.
+SAME_SEED_REPLAY = ["races", "--days", "0.1", "--policies", "fifo,fifo",
+                    "--paths"]
 
 
 class TestParser:
@@ -240,12 +237,12 @@ class TestCliErrors:
         ["inject", "--days", "1"],
         ["races", "--days", "0.1"],
         ["sweep", "--days", "1", "--no-cache"],
-        [determinism_main, "--days", "0.1"],
+        SAME_SEED_REPLAY,
     ])
     def test_missing_fault_plan_is_clean_error(self, tmp_path, capsys, command):
         missing = tmp_path / "no_such_plan.json"
         with pytest.raises(SystemExit) as excinfo:
-            run_entry(command + ["--faults", str(missing)])
+            main(command + ["--faults", str(missing)])
         assert excinfo.value.code == 2
         err = capsys.readouterr().err
         assert err.startswith("repro-sim: cannot load fault plan: ")
@@ -254,13 +251,13 @@ class TestCliErrors:
     @pytest.mark.parametrize("command", [
         ["inject", "--days", "1"],
         ["sweep", "--days", "1", "--no-cache"],
-        [determinism_main, "--days", "0.1"],
+        SAME_SEED_REPLAY,
     ])
     def test_malformed_fault_plan_is_clean_error(self, tmp_path, capsys, command):
         plan = tmp_path / "plan.json"
         plan.write_text('{"name": "broken", "faults": [')
         with pytest.raises(SystemExit) as excinfo:
-            run_entry(command + ["--faults", str(plan)])
+            main(command + ["--faults", str(plan)])
         assert excinfo.value.code == 2
         assert "cannot load fault plan" in capsys.readouterr().err
 
@@ -273,9 +270,9 @@ class TestCliErrors:
 
     def test_stations_floor_shares_one_message(self):
         for command in (["simulate", "--days", "1"], ["sweep", "--days", "1"],
-                        [determinism_main, "--days", "0.1"]):
+                        SAME_SEED_REPLAY):
             with pytest.raises(SystemExit) as excinfo:
-                run_entry(command + ["--stations", "1"])
+                main(command + ["--stations", "1"])
             assert str(excinfo.value) == (
                 "repro-sim: --stations must be >= 2 (base + reference)")
 
@@ -295,6 +292,42 @@ class TestCliErrors:
             assert "Traceback" not in err
         assert not (tmp_path / "wd").exists()
 
+    def test_sweep_unknown_grid_field_exits_2(self, tmp_path, capsys):
+        work_dir = tmp_path / "wd"
+        for place in (["--no-cache"], ["--work-dir", str(work_dir)]):
+            code = main(["sweep", "--days", "0.1", "--seeds", "0",
+                         "--param", "nosuchfield=1", *place])
+            err = capsys.readouterr().err
+            assert code == 2
+            assert err.startswith("repro-sim: unknown StationConfig/"
+                                  "DeploymentConfig field(s)")
+            assert "nosuchfield" in err and "Traceback" not in err
+        # Rejected before a manifest pins a campaign that cannot run.
+        assert not work_dir.exists()
+
+    def test_sweep_work_dir_input_errors_exit_2(self, tmp_path, capsys):
+        import json
+
+        work_dir = tmp_path / "wd"
+        sweep = ["sweep", "--days", "0.1", "--param", "solar_w=5",
+                 "--work-dir", str(work_dir)]
+        assert main(sweep + ["--seeds", "0"]) == 0
+        capsys.readouterr()
+        # A different campaign already lives in the work dir.
+        assert main(sweep + ["--seeds", "1"]) == 2
+        assert capsys.readouterr().err.startswith(
+            f"repro-sim: work dir {str(work_dir)!r} already holds a "
+            f"different campaign")
+        # A poisoned manifest names its block size.
+        manifest = work_dir / "manifest.json"
+        doc = json.loads(manifest.read_text())
+        doc["block_size"] = -2
+        manifest.write_text(json.dumps(doc))
+        assert main(sweep + ["--seeds", "0"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("repro-sim: manifest ")
+        assert "block_size -2" in err and "Traceback" not in err
+
     def test_retired_mode_flags_rejected(self, capsys):
         for command, flag, value in (("simulate", "--energy-mode", "fixed"),
                                      ("simulate", "--comms-mode", "chunked"),
@@ -304,6 +337,14 @@ class TestCliErrors:
                 main([command, "--days", "1", flag, value])
             assert excinfo.value.code == 2
             assert "unrecognized arguments" in capsys.readouterr().err
+
+    def test_retired_lint_replay_flag_rejected(self, capsys):
+        # The runtime replay moved to ``races --policies fifo,fifo``;
+        # repro-lint is purely static.
+        with pytest.raises(SystemExit) as excinfo:
+            lint_main(["src/repro", "--check-determinism"])
+        assert excinfo.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
 
     def test_missing_alert_rules_file_is_clean_error(self, capsys):
         with pytest.raises(SystemExit) as excinfo:
